@@ -1,10 +1,10 @@
 """Dense real linear algebra kernels.
 
-Pivoted LU factorization, Hessenberg reduction plus double-shift QR
-eigenvalues, matrix polynomial evaluation, and companion-matrix root
-finding.  Everything operates on plain float64 numpy arrays and is
-deterministic for fixed inputs (fixed pivoting rule, fixed accumulation
-order, no randomness).
+Pivoted LU factorization, eigenvalues (LAPACK ``geev`` through numpy),
+matrix polynomial evaluation, and companion-matrix root finding.
+Everything operates on plain float64 numpy arrays and is deterministic
+for fixed inputs (fixed pivoting rule, fixed accumulation order, no
+randomness).
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import numpy as np
 
 # Pivot singularity threshold, relative to the infinity norm of the input.
 PIVOT_RTOL = 1e-14
-# Subdiagonal deflation threshold for the QR iteration.
-DEFLATION_RTOL = 1e-13
 # Hard cap on the eigensolver input size (desk scale).
 EIGEN_SIZE_LIMIT = 2000
 
@@ -27,7 +25,7 @@ class SingularMatrixError(ValueError):
 
 
 class EigenConvergenceError(RuntimeError):
-    """The QR iteration exhausted its sweep budget without deflating."""
+    """LAPACK's QR iteration failed to converge on every eigenvalue."""
 
 
 class ZeroLeadingCoefficientError(ValueError):
@@ -133,20 +131,6 @@ def lu_solve(f, b):
     return x[:, 0] if vec else x
 
 
-def lu_det(f):
-    """Determinant from an LU factorization (sign times product of pivots)."""
-    return f.sign * float(np.prod(np.diag(f.lu)))
-
-
-def mat_mul(a, b):
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def mat_poly_eval(coeffs, t):
     """Horner evaluation of c0*I + c1*T + ... + cd*T^d."""
     t = as_square(t)
@@ -161,134 +145,22 @@ def mat_poly_eval(coeffs, t):
     return r
 
 
-def _eig2(a, b, c, d):
-    # closed-form eigenvalues of [[a, b], [c, d]]
-    t = 0.5 * (a + d)
-    det = a * d - b * c
-    disc = t * t - det
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        l1 = t + (s if t >= 0.0 else -s)
-        if l1 != 0.0:
-            l2 = det / l1
-        else:
-            l2 = t - (s if t >= 0.0 else -s)
-        return [complex(l1), complex(l2)]
-    s = math.sqrt(-disc)
-    return [complex(t, s), complex(t, -s)]
-
-
-def _reflector(x):
-    nx = math.sqrt(float((x * x).sum()))
-    if nx == 0.0:
-        return None
-    v = x.astype(float, copy=True)
-    v[0] += nx if v[0] >= 0.0 else -nx
-    nv = math.sqrt(float((v * v).sum()))
-    if nv == 0.0:
-        return None
-    return v / nv
-
-
-def hessenberg(a):
-    """Householder reduction to upper Hessenberg form (similarity)."""
-    h = as_square(a).copy()
-    n = h.shape[0]
-    for k in range(n - 2):
-        u = _reflector(h[k + 1:, k])
-        if u is None:
-            continue
-        h[k + 1:, k:] -= 2.0 * np.outer(u, u @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ u, u)
-        h[k + 2:, k] = 0.0
-    return h
-
-
-def _francis_step(h, lo, hi, exceptional):
-    # one implicit double-shift sweep on the active window h[lo:hi+1, lo:hi+1]
-    if exceptional:
-        exc = abs(h[hi, hi - 1]) + abs(h[hi - 1, hi - 2])
-        s = 1.5 * exc
-        t = -0.4375 * exc * exc
-    else:
-        s = h[hi - 1, hi - 1] + h[hi, hi]
-        t = h[hi - 1, hi - 1] * h[hi, hi] - h[hi - 1, hi] * h[hi, hi - 1]
-    x = h[lo, lo] * h[lo, lo] + h[lo, lo + 1] * h[lo + 1, lo] - s * h[lo, lo] + t
-    y = h[lo + 1, lo] * (h[lo, lo] + h[lo + 1, lo + 1] - s)
-    z = h[lo + 1, lo] * h[lo + 2, lo + 1]
-    for k in range(lo, hi - 1):
-        if k > lo:
-            x = h[k, k - 1]
-            y = h[k + 1, k - 1]
-            z = h[k + 2, k - 1] if k + 2 <= hi else 0.0
-        u = _reflector(np.array([x, y, z]))
-        if u is not None:
-            lcol = max(lo, k - 1)
-            h[k:k + 3, lcol:hi + 1] -= 2.0 * np.outer(u, u @ h[k:k + 3, lcol:hi + 1])
-            rrow = min(hi, k + 3)
-            h[lo:rrow + 1, k:k + 3] -= 2.0 * np.outer(h[lo:rrow + 1, k:k + 3] @ u, u)
-        if k > lo:
-            h[k + 1, k - 1] = 0.0
-            if k + 2 <= hi:
-                h[k + 2, k - 1] = 0.0
-    x = h[hi - 1, hi - 2]
-    y = h[hi, hi - 2]
-    u = _reflector(np.array([x, y]))
-    if u is not None:
-        h[hi - 1:hi + 1, hi - 2:hi + 1] -= 2.0 * np.outer(
-            u, u @ h[hi - 1:hi + 1, hi - 2:hi + 1]
-        )
-        h[lo:hi + 1, hi - 1:hi + 1] -= 2.0 * np.outer(
-            h[lo:hi + 1, hi - 1:hi + 1] @ u, u
-        )
-    h[hi, hi - 2] = 0.0
-
-
 def eigenvalues(a):
     """All eigenvalues of a real square matrix, as a sorted list of complex.
 
-    Householder Hessenberg reduction followed by Francis double-shift QR
-    with deflation.  Complex pairs come out exactly conjugate.  Raises
-    EigenConvergenceError after 60*n sweeps without a deflation.
+    LAPACK ``geev`` through ``np.linalg.eigvals``; complex pairs come out
+    exactly conjugate.  Raises EigenConvergenceError when the QR
+    iteration does not converge.
     """
     m = as_square(a)
     n = m.shape[0]
     if n > EIGEN_SIZE_LIMIT:
         raise ValueError(f"matrix size {n} exceeds desk-scale limit {EIGEN_SIZE_LIMIT}")
-    h = hessenberg(m)
-    hnorm = frobenius(h)
-    eigs = []
-    hi = n - 1
-    budget = 60 * n
-    since_deflation = 0
-    while hi >= 0:
-        lo = hi
-        while lo > 0:
-            thr = DEFLATION_RTOL * (abs(h[lo - 1, lo - 1]) + abs(h[lo, lo]))
-            if thr == 0.0:
-                thr = DEFLATION_RTOL * hnorm
-            if abs(h[lo, lo - 1]) <= thr:
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            eigs.append(complex(h[hi, hi]))
-            hi -= 1
-            since_deflation = 0
-            continue
-        if lo == hi - 1:
-            eigs.extend(_eig2(h[lo, lo], h[lo, lo + 1], h[lo + 1, lo], h[lo + 1, lo + 1]))
-            hi -= 2
-            since_deflation = 0
-            continue
-        since_deflation += 1
-        if since_deflation > budget:
-            raise EigenConvergenceError(
-                f"no deflation after {budget} QR sweeps (active block {lo}:{hi})"
-            )
-        _francis_step(h, lo, hi, exceptional=(since_deflation % 10 == 0))
-    eigs.sort(key=lambda z: (z.real, z.imag))
-    return eigs
+    try:
+        w = np.linalg.eigvals(m)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(str(exc)) from exc
+    return sorted((complex(z) for z in w), key=lambda z: (z.real, z.imag))
 
 
 def poly_roots(coeffs):

@@ -38,13 +38,6 @@ class LinearOperator:
         m = as_square(a)
         return cls(m.shape[0], lambda v: m @ v, tag=tag)
 
-    @classmethod
-    def from_csr(cls, a, tag=""):
-        from .sparse import spmv
-        if a.rows != a.cols:
-            raise ValueError("operator must be square")
-        return cls(a.rows, lambda v: spmv(a, v), tag=tag)
-
 
 @dataclass
 class SolveStats:

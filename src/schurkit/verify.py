@@ -20,7 +20,6 @@ from .blocks import (SystemOptions, assemble, assemble_arrowhead,
 
 ANNIHILATION_TOL = 1e-9
 MEMBERSHIP_TOL_COMPUTED = 1e-7
-MEMBERSHIP_TOL_PRINTED = 1e-3
 STABILITY_MARGIN = 1e-8
 LDU_RTOL = 1e-11
 

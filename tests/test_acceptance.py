@@ -157,9 +157,7 @@ def test_criterion_06_gmres_finite_termination():
     for preset, bound in bounds.items():
         for seed in range(5):
             _, system, a = verify.build_preconditioned(preset, seed, (6, 5, 4))
-            p = (precond.make_preconditioner(preset, system)
-                 if not preset.startswith("Q")
-                 else precond.make_preconditioner(preset, system))
+            p = precond.make_preconditioner(preset, system)
             op = LinearOperator.from_dense(a)
             _, stats = gmres(op, p, np.ones(op.dim), tol=1e-12, maxit=50)
             if not (stats.converged and stats.iterations <= bound):
@@ -226,43 +224,16 @@ def test_criterion_07_biot_benchmark_trends(biot_sweep):
             print(f"N={n} tau={tau:g}: " + " ".join(
                 f"{k}={counts[(n, tau, k)]}" for k in biot.BENCH_COLUMNS))
 
-    def c(n, tau, name):
-        v = counts[(n, tau, name)]
-        return math.inf if v is None else v
-
-    sub = {"a": [], "b": [], "c": sign_twin_mismatches(tau_values),
-           "d": [], "e": []}
-    for n in n_values:
-        for tau in tau_values:
-            p = {k: c(n, tau, k) for k in biot.BENCH_COLUMNS}
-            if not p["P1"] < min(p["P2"], p["P3"], p["P4"]):
-                sub["a"].append(f"N={n} tau={tau:g}")
-            if not p["PD3"] < min(p["PD1"], p["PD2"], p["PD4"]):
-                sub["b"].append(f"N={n} tau={tau:g}")
-    for n in n_values:
-        for name in biot.BENCH_COLUMNS:
-            lo, hi = c(n, 1e-4, name), c(n, 1e-3, name)
-            if lo > hi or math.isinf(lo):
-                sub["d"].append(f"N={n} {name}")
-    ns = sorted(n_values)
-    for na, nb in zip(ns, ns[1:]):
-        for tau in tau_values:
-            for name in biot.BENCH_COLUMNS:
-                ratio = c(nb, tau, name) / c(na, tau, name)
-                if not 1.3 <= ratio <= 3.5:
-                    sub["e"].append(f"{name} tau={tau:g} {na}->{nb} "
-                                    f"ratio {ratio:.2f}")
-    text = {
-        "a": "triangular family won by the positive stable preset",
-        "b": "diagonal family won by the positive stable preset",
-        "c": "sign-twin presets exact: P3 v == diag(I, I, -I) P2 v at N=16",
-        "d": "counts monotone as the drop tolerance tightens",
-        "e": "refinement growth ratio within [1.3, 3.5]",
-    }
+    sub = {key: [] for key in biot.ORDERING_RULES}
+    sub["c"] = sign_twin_mismatches(tau_values)
+    for key, msg in biot.ordering_violations(counts, n_values, tau_values):
+        sub[key].append(msg)
+    text = dict(biot.ORDERING_RULES,
+                c="sign-twin presets exact: P3 v == diag(I, I, -I) P2 v at N=16")
     twin_counts = "; ".join(
         f"N={n} tau={tau:g} P2={counts[(n, tau, 'P2')]} "
         f"P3={counts[(n, tau, 'P3')]}" for n in n_values for tau in tau_values)
-    for key in "abcde":
+    for key in sorted(sub):
         state = "PASS" if not sub[key] else "FAIL"
         detail = "" if not sub[key] else " @ " + "; ".join(sub[key])
         if key == "c":
@@ -271,7 +242,7 @@ def test_criterion_07_biot_benchmark_trends(biot_sweep):
     in_time = elapsed < 600.0
     print(f"{'PASS' if in_time else 'FAIL'} criterion-7 sweep wall clock "
           f"{elapsed:.0f}s, bound 600s")
-    bad = [f"(7{k}) {'; '.join(v)}" for k, v in sub.items() if v]
+    bad = [f"(7{k}) {'; '.join(v)}" for k, v in sorted(sub.items()) if v]
     if not in_time:
         bad.append(f"(time) sweep took {elapsed:.0f}s, bound 600s")
     announce("criterion-7 poroelastic benchmark trends", not bad,

@@ -268,12 +268,6 @@ class TestBenchmark:
         assert table.col_labels == list(biot.BENCH_COLUMNS)
         assert biot.ordering_violations(counts, [16], [1e-3]) == []
 
-    def test_threaded_matches_sequential(self, params):
-        _, seq = biot.benchmark([8], [1e-2], tol=1e-6, maxit=400, params=params)
-        _, par = biot.benchmark([8], [1e-2], tol=1e-6, maxit=400, params=params,
-                                jobs=4)
-        assert seq == par
-
 
 class TestExport:
     def test_round_trip(self, asm4, tmp_path):

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import schurkit
 from schurkit import cli
+
+SEED6_SWEEP = ["verify", "--n", "8", "--sizes", "9,7,5", "--seed", "6"]
 
 
 def run(argv):
@@ -47,6 +55,25 @@ class TestVerifyCommand:
         assert run(["verify", "--seed", "3", "--out", str(a)]) == 0
         assert run(["verify", "--seed", "3", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_seed6_sweep_passes(self, tmp_path):
+        out = tmp_path / "report.csv"
+        assert run(SEED6_SWEEP + ["--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 52
+        assert all(",pass," in ln for ln in rows)
+
+    def test_byte_identical_across_blas_threads(self):
+        src = str(Path(schurkit.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-m", "schurkit"] + SEED6_SWEEP,
+                                  env=env, capture_output=True, check=True)
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestSpectrumCommand:

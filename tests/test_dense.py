@@ -94,28 +94,6 @@ class TestLuSolve:
         assert np.abs(a @ x - b).max() < 1e-12
 
 
-class TestMatMul:
-    def test_identity(self):
-        rng = np.random.default_rng(5)
-        a = rng.uniform(-1.0, 1.0, (3, 4))
-        assert np.array_equal(dense.mat_mul(a, np.eye(4)), a)
-
-    def test_permutation_squares_to_identity(self):
-        p = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.array_equal(dense.mat_mul(p, p), np.eye(2))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(6)
-        a, b, c = (rng.uniform(-1.0, 1.0, (5, 5)) for _ in range(3))
-        left = dense.mat_mul(dense.mat_mul(a, b), c)
-        right = dense.mat_mul(a, dense.mat_mul(b, c))
-        assert np.abs(left - right).max() <= 1e-12 * np.abs(left).max()
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            dense.mat_mul(np.ones((2, 3)), np.ones((2, 3)))
-
-
 class TestMatPolyEval:
     def test_x_minus_one_at_identity(self):
         r = dense.mat_poly_eval([-1.0, 1.0], np.eye(3))
@@ -184,6 +162,13 @@ class TestEigenvalues:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             dense.eigenvalues(np.eye(dense.EIGEN_SIZE_LIMIT + 1))
+
+    def test_lapack_failure_raises_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(dense.EigenConvergenceError):
+            dense.eigenvalues(np.eye(3))
 
 
 class TestPolyRoots:

@@ -228,6 +228,12 @@ class TestSuite:
         assert row.max_membership_distance <= verify.MEMBERSHIP_TOL_COMPUTED
         assert row.min_real_part > verify.STABILITY_MARGIN
 
+    @pytest.mark.parametrize("preset,seed,n", [("Pn", 6, 7), ("QD1", 16, 3)])
+    def test_rows_that_once_exhausted_the_qr_budget(self, preset, seed, n):
+        # a hand-written Francis QR raised EigenConvergenceError on these
+        row = verify.verify_preset(preset, seed, (9, 7, 5), n=n)
+        assert row.passed, row
+
     def test_plus_diagonal_family_unstable_witness(self):
         hits = []
         for n in range(2, 9):
