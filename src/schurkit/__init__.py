@@ -1,12 +1,12 @@
 """Schur-complement preconditioning toolkit for block saddle point systems."""
 
-from .blocks import (ArrowheadSystem, BlockTridiagonalSystem, SystemOptions,
-                     assemble, assemble_arrowhead, permute_threeblock,
-                     random_system)
+from .blocks import (ArrowheadSystem, BlockTridiagonalSystem, SchurChain,
+                     SystemOptions, assemble, assemble_arrowhead, nested_chain,
+                     permute_threeblock, random_system)
 from .dense import eigenvalues, lu_factor, lu_solve, poly_roots, spectral_condition
 from .krylov import LinearOperator, SolveStats, gmres, iteration_count_matrix
-from .precond import (AdditiveSchur, SchurChain, additive_schur,
-                      make_preconditioner, nested_chain, preconditioned_matrix)
+from .precond import (AdditiveSchur, additive_schur, make_preconditioner,
+                      preconditioned_matrix)
 from .sparse import CsrMatrix, csr_from_triplets, ic_solve, ichol, spmv
 from .verify import (Polynomial, annihilation_residual, coefficient_law_check,
                      pbar_polynomials, positive_stable, predicted_polynomial,

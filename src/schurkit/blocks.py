@@ -4,7 +4,9 @@ Blocks are stored unsigned; assembly applies the alternating sign pattern
 (-1)**(i-1) to the diagonal of the tridiagonal form.  The three-block
 tridiagonal system is permutation-equivalent to an arrowhead system whose
 corner carries the (negated) middle block; ``permute_threeblock`` performs
-that reordering exactly.
+that reordering exactly.  ``schur_steps`` is the one copy of the nested
+Schur recursion: the exact preconditioners and the generation gate of
+``random_system`` both consume it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,14 @@ from .sparse import read_matrix_market, write_matrix_market, CsrMatrix
 
 class GenerationError(RuntimeError):
     """Random system generation exhausted its retry budget."""
+
+
+class SingularSchurError(ValueError):
+    """A Schur complement in the chain failed the LU singularity check."""
+
+    def __init__(self, index, message=None):
+        super().__init__(message or f"Schur complement S_{index} is singular")
+        self.index = index
 
 
 # generated systems must carry a well-conditioned Schur chain, otherwise
@@ -92,6 +102,43 @@ class BlockTridiagonalSystem:
     @property
     def total_size(self):
         return sum(self.sizes)
+
+
+@dataclass(frozen=True)
+class SchurChain:
+    """Nested Schur complements with their LU factorizations."""
+
+    blocks: tuple
+    factors: tuple
+
+    @property
+    def n(self):
+        return len(self.blocks)
+
+
+def schur_steps(sys):
+    """Yield (S_i, LU factors of S_i) for i = 1..n, one complement at a time.
+
+    S_1 = A_1, S_{i+1} = A_{i+1} + C_i S_i^{-1} B_i^T.  A consumer that
+    stops early never forms the later complements.  Raises
+    SingularSchurError identifying the first S_i that fails the LU
+    singularity check (1-based).
+    """
+    s = np.array(sys.diag[0])
+    for i in range(sys.n):
+        try:
+            f = dense.lu_factor(s)
+        except dense.SingularMatrixError as exc:
+            raise SingularSchurError(i + 1, f"S_{i + 1} is singular: {exc}") from exc
+        yield s, f
+        if i < sys.n - 1:
+            s = sys.diag[i + 1] + sys.lower[i] @ dense.lu_solve(f, sys.upper[i])
+
+
+def nested_chain(sys):
+    """Build S_1 .. S_n for a block-tridiagonal system (see schur_steps)."""
+    schur_blocks, factors = zip(*schur_steps(sys))
+    return SchurChain(blocks=schur_blocks, factors=factors)
 
 
 @dataclass(frozen=True)
@@ -253,8 +300,10 @@ def random_system(opts):
     """Seeded random block-tridiagonal system honoring the option flags.
 
     Blocks are uniform(-1, 1); the first diagonal block gets a +size*I
-    diagonal boost.  Generation retries with a derived seed until every
-    Schur complement in the nested chain factors, at most 100 attempts.
+    diagonal boost.  Generation retries with the derived seed
+    (seed, attempt) until every Schur complement in the nested chain
+    factors with a 1-norm condition number at most CHAIN_CONDITION_LIMIT,
+    at most 100 attempts.
     """
     for attempt in range(100):
         rng = np.random.default_rng((int(opts.seed), attempt))
@@ -289,21 +338,16 @@ def _draw_system(rng, opts):
 
 def _chain_ok(sys):
     # every nested Schur complement must pass the LU singularity check and
-    # stay well conditioned (1-norm condition estimate via the inverse)
+    # stay well conditioned (1-norm condition estimate via the inverse);
+    # the chain stops at the first complement that fails
     try:
-        s = np.asarray(sys.diag[0])
-        f = dense.lu_factor(s)
-        for i in range(sys.n):
+        for s, f in schur_steps(sys):
             inv = dense.lu_solve(f, np.eye(s.shape[0]))
             cond = (np.abs(s).sum(axis=0).max()
                     * np.abs(inv).sum(axis=0).max())
             if cond > CHAIN_CONDITION_LIMIT:
                 return False
-            if i < sys.n - 1:
-                s = sys.diag[i + 1] + sys.lower[i] @ dense.lu_solve(
-                    f, sys.upper[i])
-                f = dense.lu_factor(s)
-    except dense.SingularMatrixError:
+    except SingularSchurError:
         return False
     return True
 

@@ -211,8 +211,7 @@ def cmd_spectrum(args, parser):
         t, _, _ = verify.build_preconditioned(preset, args.seed, args.sizes, n=nn)
         eigs = dense.eigenvalues(t)
         roots = verify.predicted_roots(preset, n=nn)
-        report = verify.spectrum_membership(eigs, roots,
-                                            verify.MEMBERSHIP_TOL_COMPUTED)
+        report = verify.spectrum_membership(eigs, roots)
         for z, root, dist in report.membership:
             lines.append(f"{preset},{z.real!r},{z.imag!r},"
                          f"{root.real!r},{root.imag!r},{dist!r}")

@@ -1,7 +1,8 @@
 """Schur-complement chains and the block preconditioner families.
 
 Two Schur constructions: the nested chain S_1 = A_1,
-S_{i+1} = A_{i+1} + C_i S_i^{-1} B_i^T for block-tridiagonal systems, and
+S_{i+1} = A_{i+1} + C_i S_i^{-1} B_i^T for block-tridiagonal systems
+(built in ``blocks``, which also gates random generation on it), and
 the additive complement S = A_c + sum_i C_i A_i^{-1} B_i^T for arrowhead
 systems.  Every named preconditioner is a sign pattern over these blocks:
 block-diagonal ones solve with delta_i * S_i, block-triangular ones add
@@ -15,17 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dense
-from .blocks import ArrowheadSystem, BlockTridiagonalSystem, assemble, assemble_arrowhead
+from .blocks import (ArrowheadSystem, BlockTridiagonalSystem, SingularSchurError,
+                     assemble, assemble_arrowhead, nested_chain)
 
 PRECOND_SIZE_LIMIT = 2000
-
-
-class SingularSchurError(ValueError):
-    """A Schur complement in the chain failed the LU singularity check."""
-
-    def __init__(self, index, message=None):
-        super().__init__(message or f"Schur complement S_{index} is singular")
-        self.index = index
 
 
 class SingularLeadingBlockError(ValueError):
@@ -49,45 +43,12 @@ class MissingSolverError(ValueError):
 
 
 @dataclass(frozen=True)
-class SchurChain:
-    """Nested Schur complements with their LU factorizations."""
-
-    blocks: tuple
-    factors: tuple
-
-    @property
-    def n(self):
-        return len(self.blocks)
-
-
-@dataclass(frozen=True)
 class AdditiveSchur:
     """Additive Schur complement of an arrowhead system."""
 
     schur: np.ndarray
     factor: dense.LUFactors
     leading_factors: tuple
-
-
-def nested_chain(sys):
-    """Build S_1 .. S_n for a block-tridiagonal system.
-
-    Raises SingularSchurError identifying the first S_i that fails the
-    LU singularity check (1-based).
-    """
-    blocks = []
-    factors = []
-    s = np.array(sys.diag[0])
-    for i in range(sys.n):
-        try:
-            f = dense.lu_factor(s)
-        except dense.SingularMatrixError as exc:
-            raise SingularSchurError(i + 1, f"S_{i + 1} is singular: {exc}") from exc
-        blocks.append(s)
-        factors.append(f)
-        if i < sys.n - 1:
-            s = sys.diag[i + 1] + sys.lower[i] @ dense.lu_solve(f, sys.upper[i])
-    return SchurChain(blocks=tuple(blocks), factors=tuple(factors))
 
 
 def additive_schur(sys):
@@ -129,9 +90,19 @@ class Preconditioner:
         self.tag = tag
 
     def _split(self, v):
+        """Check a vector (dim,) or block (dim, k) and cut it into block rows."""
+        v = np.asarray(v, dtype=float)
+        if v.ndim not in (1, 2) or v.shape[0] != self.dim:
+            raise ValueError(f"input shape {v.shape} does not match dim={self.dim}")
         return [v[self.offsets[i]:self.offsets[i + 1]] for i in range(len(self.sizes))]
 
     def apply(self, v):
+        """P^{-1} v for a vector (dim,) or, column-wise, a block (dim, k).
+
+        Blocks work when the block solves and couplings take them, as the
+        LU-backed exact presets do.  IC-backed callables (``ic_solve``,
+        ``spmv``) are vector-only and raise ValueError on a block.
+        """
         raise NotImplementedError
 
 
@@ -140,10 +111,7 @@ class IdentityPreconditioner(Preconditioner):
         super().__init__((dim,), tag="identity")
 
     def apply(self, v):
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise ValueError(f"vector length {v.shape} does not match dim={self.dim}")
-        return v.copy()
+        return self._split(v)[0].copy()
 
 
 class BlockDiagonalPreconditioner(Preconditioner):
@@ -158,9 +126,6 @@ class BlockDiagonalPreconditioner(Preconditioner):
         self.diag_signs = tuple(int(s) for s in diag_signs)
 
     def apply(self, v):
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise ValueError(f"vector length {v.shape} does not match dim={self.dim}")
         parts = self._split(v)
         out = [sg * solve(p) for sg, solve, p in zip(self.diag_signs, self.solves, parts)]
         return np.concatenate(out)
@@ -187,9 +152,6 @@ class BlockTriangularPreconditioner(Preconditioner):
         self.sub_signs = tuple(int(s) for s in sub_signs)
 
     def apply(self, v):
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise ValueError(f"vector length {v.shape} does not match dim={self.dim}")
         parts = self._split(v)
         out = [self.diag_signs[0] * self.solves[0](parts[0])]
         for i in range(1, len(self.sizes)):
@@ -289,19 +251,6 @@ def _blockdiag_solver(factors, sizes):
     return solve
 
 
-def _border_matvec(border_rows, sizes):
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    mats = [np.asarray(r, dtype=float) for r in border_rows]
-
-    def mv(v):
-        out = mats[0] @ v[offsets[0]:offsets[1]]
-        for i in range(1, len(mats)):
-            out = out + mats[i] @ v[offsets[i]:offsets[i + 1]]
-        return out
-
-    return mv
-
-
 def make_preconditioner(name, system=None, schur=None, *, sizes=None,
                         solves=None, sub_matvecs=None, n=None):
     """Instantiate a named preconditioner preset.
@@ -323,38 +272,32 @@ def make_preconditioner(name, system=None, schur=None, *, sizes=None,
             raise ValueError("need a system, or sizes for inexact mode")
         n = len(sizes)
     family, diag_signs, sub_signs = preset_pattern(name, n=n)
+    additive = family.startswith("additive")
 
-    if family.startswith("additive"):
-        if system is not None:
-            if not isinstance(system, ArrowheadSystem):
-                raise TypeError(f"{name} needs an arrowhead system")
-            if schur is None:
-                schur = additive_schur(system)
-            lead_sizes = system.leading_sizes
-            sizes = (sum(lead_sizes), system.corner_size)
-            solves = (
-                _blockdiag_solver(schur.leading_factors, lead_sizes),
-                _lu_solver(schur.factor),
-            )
-            sub_matvecs = (_border_matvec(system.border_rows, lead_sizes),)
-        if sizes is None or len(sizes) != 2:
-            raise ValueError(f"{name} needs two block sizes (leading, corner)")
-        if family == "additive-diagonal":
-            return BlockDiagonalPreconditioner(sizes, solves, diag_signs, tag=name)
-        if sub_matvecs is None or len(sub_matvecs) != 1:
-            raise MissingSolverError(2)
-        return BlockTriangularPreconditioner(
-            sizes, solves, diag_signs, sub_matvecs, sub_signs, tag=name)
-
-    if system is not None:
+    if system is not None and additive:
+        if not isinstance(system, ArrowheadSystem):
+            raise TypeError(f"{name} needs an arrowhead system")
+        if schur is None:
+            schur = additive_schur(system)
+        lead_sizes = system.leading_sizes
+        sizes = (sum(lead_sizes), system.corner_size)
+        solves = (
+            _blockdiag_solver(schur.leading_factors, lead_sizes),
+            _lu_solver(schur.factor),
+        )
+        sub_matvecs = (_matvec(np.hstack(system.border_rows)),)
+    elif system is not None:
         if schur is None:
             schur = nested_chain(system)
         sizes = system.sizes
         solves = tuple(_lu_solver(f) for f in schur.factors)
         sub_matvecs = tuple(_matvec(c) for c in system.lower)
+
+    if additive and (sizes is None or len(sizes) != 2):
+        raise ValueError(f"{name} needs two block sizes (leading, corner)")
     if sizes is None:
         raise ValueError("need a system, or sizes for inexact mode")
-    if family == "diagonal":
+    if family.endswith("diagonal"):
         return BlockDiagonalPreconditioner(sizes, solves, diag_signs, tag=name)
     if sub_matvecs is None or len(sub_matvecs) != len(sizes) - 1:
         raise MissingSolverError(len(sizes))
@@ -363,7 +306,10 @@ def make_preconditioner(name, system=None, schur=None, *, sizes=None,
 
 
 def preconditioned_matrix(p, system):
-    """Dense P^{-1} A, column by column (desk-scale guard applies)."""
+    """Dense P^{-1} A in one block apply (desk-scale guard applies).
+
+    ``system`` is a block system or its assembled matrix.
+    """
     if isinstance(system, BlockTridiagonalSystem):
         a = assemble(system)
     elif isinstance(system, ArrowheadSystem):
@@ -375,10 +321,7 @@ def preconditioned_matrix(p, system):
         raise ValueError(f"size {n} exceeds desk-scale limit {PRECOND_SIZE_LIMIT}")
     if n != p.dim:
         raise ValueError(f"operator size {n} does not match preconditioner {p.dim}")
-    t = np.empty((n, n))
-    for j in range(n):
-        t[:, j] = p.apply(a[:, j])
-    return t
+    return p.apply(a)
 
 
 def build_ldu(sys, chain=None):

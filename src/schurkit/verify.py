@@ -46,10 +46,6 @@ class Polynomial:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def monic(self):
-        lead = self.coeffs[-1]
-        return Polynomial(tuple(c / lead for c in self.coeffs))
-
     def __call__(self, x):
         r = 0.0
         for c in reversed(self.coeffs):
@@ -198,7 +194,6 @@ class SpectralReport:
     """Eigenvalues beside the prediction they are checked against."""
 
     eigenvalues: list
-    residuals: list = field(default_factory=list)
     min_real_part: float = math.inf
     membership: list = field(default_factory=list)
 
@@ -209,15 +204,13 @@ class SpectralReport:
         return max(d for _, _, d in self.membership)
 
 
-def spectrum_membership(eigs, roots, tol):
+def spectrum_membership(eigs, roots):
     """Match every eigenvalue to its nearest predicted root.
 
     Returns a SpectralReport whose membership list holds
-    (eigenvalue, nearest root, distance) triples; tol is recorded by the
-    caller, the report itself just carries the distances.
+    (eigenvalue, nearest root, distance) triples; callers compare the
+    distances with their own tolerance.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     eigs = [complex(z) for z in eigs]
     roots = [complex(z) for z in roots]
     if not roots:
@@ -364,13 +357,13 @@ def build_preconditioned(preset, seed, sizes, n=None):
     opts = hypothesis_options(preset, seed, sizes, n=n)
     sys3 = random_system(opts)
     if preset in ("Q1", "Q2", "QD1", "QD2"):
-        arrow, _ = permute_threeblock(sys3)
-        p = pc.make_preconditioner(preset, arrow)
-        t = pc.preconditioned_matrix(p, arrow)
-        return t, arrow, assemble_arrowhead(arrow)
-    p = pc.make_preconditioner(preset, sys3)
-    t = pc.preconditioned_matrix(p, sys3)
-    return t, sys3, assemble(sys3)
+        system, _ = permute_threeblock(sys3)
+        a = assemble_arrowhead(system)
+    else:
+        system = sys3
+        a = assemble(system)
+    p = pc.make_preconditioner(preset, system)
+    return pc.preconditioned_matrix(p, a), system, a
 
 
 @dataclass
@@ -411,7 +404,7 @@ def verify_preset(preset, seed, sizes, n=None):
     eigs = dense.eigenvalues(t)
     roots = predicted_roots(preset, n=nn)
     tol = membership_tolerance(preset, n=nn)
-    report = spectrum_membership(eigs, roots, tol)
+    report = spectrum_membership(eigs, roots)
     ok = (residual <= ANNIHILATION_TOL
           and report.max_membership_distance <= tol)
     detail = ""

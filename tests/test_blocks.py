@@ -170,6 +170,47 @@ class TestRandomSystem:
             s.diag[0][0, 0] = 99.0
 
 
+def oracle_chain_condition(sys):
+    """Largest 1-norm condition number over the nested Schur chain."""
+    s = np.asarray(sys.diag[0])
+    worst = 0.0
+    for i in range(sys.n):
+        worst = max(worst, np.linalg.cond(s, 1))
+        if i < sys.n - 1:
+            s = sys.diag[i + 1] + sys.lower[i] @ np.linalg.solve(s, sys.upper[i])
+    return worst
+
+
+class TestGenerationGate:
+    def test_budget_exhausted(self, monkeypatch):
+        factored = []
+        real_lu_factor = blocks.dense.lu_factor
+
+        def counting_lu_factor(a):
+            factored.append(np.shape(a))
+            return real_lu_factor(a)
+
+        monkeypatch.setattr(blocks, "CHAIN_CONDITION_LIMIT", 1.0)
+        monkeypatch.setattr(blocks.dense, "lu_factor", counting_lu_factor)
+        with pytest.raises(blocks.GenerationError):
+            blocks.random_system(blocks.SystemOptions(seed=0, sizes=(4, 3, 2)))
+        # every attempt stops at S_1, the first complement that fails
+        assert factored == [(4, 4)] * 100
+
+    def test_returns_first_accepted_attempt(self):
+        # seed 1 draws two chains past the limit (condition 1.6e4 and
+        # 4.7e6) before attempt 2 passes (8.5e2)
+        opts = blocks.SystemOptions(seed=1, sizes=(9, 8, 7), zero_tail=True)
+        draws = [blocks._draw_system(np.random.default_rng((opts.seed, k)), opts)
+                 for k in range(3)]
+        conds = [oracle_chain_condition(d) for d in draws]
+        assert [c <= blocks.CHAIN_CONDITION_LIMIT for c in conds] == [False, False, True]
+        got = blocks.random_system(opts)
+        for a, b in zip(got.diag + got.upper + got.lower,
+                        draws[2].diag + draws[2].upper + draws[2].lower):
+            assert np.array_equal(a, b)
+
+
 class TestManifest:
     def test_round_trip_bitwise(self, tmp_path):
         opts = blocks.SystemOptions(seed=31, sizes=(3, 2, 4))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schurkit import blocks, dense, precond, verify
+from schurkit import biot, blocks, dense, precond, verify
 
 
 def scalar_threeblock():
@@ -146,6 +146,25 @@ class TestApply:
         v = np.arange(4.0)
         assert np.array_equal(p.apply(v), v)
 
+    def test_identity_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            precond.IdentityPreconditioner(4).apply(np.ones(5))
+
+    @pytest.mark.parametrize("shape", [(10, 2), (8,), (9, 2, 2)])
+    def test_exact_apply_rejects_bad_shape(self, shape):
+        s = blocks.random_system(blocks.SystemOptions(seed=52, sizes=(4, 3, 2)))
+        p = precond.make_preconditioner("P1", s)
+        with pytest.raises(ValueError):
+            p.apply(np.ones(shape))
+
+    def test_ic_backed_apply_is_vector_only(self):
+        params = biot.BiotParameters()
+        asm = biot.assemble_biot(biot.build_mesh(4), params)
+        pres = biot.build_biot_preconditioners(asm, params, 1e-3)
+        for p in pres.by_name.values():
+            with pytest.raises(ValueError):
+                p.apply(np.ones((p.dim, 2)))
+
     def test_pd3_scalar_chain(self):
         p = precond.make_preconditioner("PD3", scalar_threeblock())
         y = p.apply(np.ones(3))
@@ -230,6 +249,27 @@ class TestPreconditionedMatrix:
         rel = np.abs(t).max()
         assert np.abs(t[na:, :na]).max() <= 1e-11 * rel
         assert np.abs(np.diag(t) - 1.0).max() <= 1e-11 * rel
+
+    @pytest.mark.parametrize("name,n", [(name, 3) for name in (
+        "P1", "P2", "P3", "P4", "PD1", "PD2", "PD3", "PD4",
+        "Q1", "Q2", "QD1", "QD2")] + [
+        (name, n) for name in ("Pn", "Dn", "Mn") for n in range(2, 6)])
+    def test_block_apply_matches_columns(self, name, n):
+        s = blocks.random_system(
+            verify.hypothesis_options(name, seed=51, sizes=(5, 4, 3), n=n))
+        if name in precond.ADDITIVE_PRESETS:
+            s, _ = blocks.permute_threeblock(s)
+            a = blocks.assemble_arrowhead(s)
+        else:
+            a = blocks.assemble(s)
+        p = precond.make_preconditioner(name, s)
+        got = precond.preconditioned_matrix(p, a)
+        ref = np.column_stack([p.apply(a[:, j]) for j in range(a.shape[1])])
+        if precond.preset_pattern(name, n=n)[0].endswith("diagonal"):
+            # no coupling product: the block solve is the column solve
+            assert np.array_equal(got, ref)
+        else:
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_size_guard(self):
         p = precond.IdentityPreconditioner(precond.PRECOND_SIZE_LIMIT + 1)
