@@ -4,7 +4,7 @@ from .blocks import (ArrowheadSystem, BlockTridiagonalSystem, SchurChain,
                      SystemOptions, assemble, assemble_arrowhead, nested_chain,
                      permute_threeblock, random_system)
 from .dense import eigenvalues, lu_factor, lu_solve, poly_roots, spectral_condition
-from .krylov import LinearOperator, SolveStats, gmres, iteration_count_matrix
+from .krylov import LinearOperator, SolveStats, gmres
 from .precond import (AdditiveSchur, additive_schur, make_preconditioner,
                       preconditioned_matrix)
 from .sparse import CsrMatrix, csr_from_triplets, ic_solve, ichol, spmv
@@ -18,7 +18,7 @@ __all__ = [
     "ArrowheadSystem", "BlockTridiagonalSystem", "SystemOptions",
     "assemble", "assemble_arrowhead", "permute_threeblock", "random_system",
     "eigenvalues", "lu_factor", "lu_solve", "poly_roots", "spectral_condition",
-    "LinearOperator", "SolveStats", "gmres", "iteration_count_matrix",
+    "LinearOperator", "SolveStats", "gmres",
     "AdditiveSchur", "SchurChain", "additive_schur", "make_preconditioner",
     "nested_chain", "preconditioned_matrix",
     "CsrMatrix", "csr_from_triplets", "ic_solve", "ichol", "spmv",

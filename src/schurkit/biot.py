@@ -175,10 +175,8 @@ def _p2_grads(l, grad_l):
 
 @dataclass
 class BiotAssembly:
-    """Assembled blocks, right-hand side, and kept-dof maps."""
+    """Assembled blocks and right-hand side."""
 
-    N: int
-    params: BiotParameters
     a_u: CsrMatrix
     b_uxi: CsrMatrix
     b_uxi_t: CsrMatrix
@@ -189,8 +187,6 @@ class BiotAssembly:
     m_xi: CsrMatrix
     m_p: CsrMatrix
     rhs: np.ndarray
-    u_keep: np.ndarray
-    p_keep: np.ndarray
 
     @property
     def sizes(self):
@@ -301,11 +297,9 @@ def assemble_biot(mesh, params, apply_bcs=True):
 
     rhs = np.concatenate([f_u[u_keep], f_xi, f_p[p_keep]])
     return BiotAssembly(
-        N=mesh.n, params=params,
         a_u=a_u, b_uxi=b_uxi, b_uxi_t=csr_transpose(b_uxi),
         a_xi=a_xi, b_xip=b_xip_r, b_xip_t=csr_transpose(b_xip_r),
         a_p=a_p, m_xi=mass, m_p=m_p, rhs=rhs,
-        u_keep=u_keep, p_keep=p_keep,
     )
 
 
@@ -321,7 +315,7 @@ def biot_operator(assembly):
         yp = spmv(a.b_xip, vxi) + spmv(a.a_p, vp)
         return np.concatenate([yu, yxi, yp])
 
-    return LinearOperator(assembly.total_size, mv, tag=f"biot(N={assembly.N})")
+    return LinearOperator(assembly.total_size, mv)
 
 
 def fourier_schur_approx(assembly, params):
@@ -351,7 +345,6 @@ class BiotPreconditioners:
     factor_u: object
     factor_xi: object
     factor_p: object
-    tau: float
 
     def __getitem__(self, name):
         return self.by_name[name]
@@ -385,7 +378,7 @@ def build_biot_preconditioners(assembly, params, tau):
         by_name[name] = pc.make_preconditioner(
             name, sizes=sizes, solves=solves, sub_matvecs=subs)
     return BiotPreconditioners(by_name=by_name, factor_u=fac_u,
-                               factor_xi=fac_xi, factor_p=fac_p, tau=tau)
+                               factor_xi=fac_xi, factor_p=fac_p)
 
 
 # benchmark stopping tolerance, calibrated so coarse meshes are not
@@ -394,15 +387,15 @@ def build_biot_preconditioners(assembly, params, tau):
 BENCH_TOL = 4e-6
 
 
-def benchmark(n_values, tau_values, tol=BENCH_TOL, maxit=1500,
-              presets=BENCH_COLUMNS, params=None):
+def benchmark(n_values, tau_values, tol=BENCH_TOL, maxit=1500):
     """GMRES iteration counts over the (N, tau, preset) grid.
 
     Returns (tables, counts): one IterationTable per tau (rows are mesh
     sizes, columns the presets in table order) and a flat dict keyed by
-    (N, tau, preset) with None marking non-convergence.
+    (N, tau, preset).  A cell counts its GMRES iterations if GMRES
+    converged within maxit, and is None if it did not or broke down.
     """
-    params = params or BiotParameters()
+    params = BiotParameters()
     counts = {}
     for n in n_values:
         mesh = build_mesh(n)
@@ -410,7 +403,7 @@ def benchmark(n_values, tau_values, tol=BENCH_TOL, maxit=1500,
         op = biot_operator(asm)
         for tau in tau_values:
             pres = build_biot_preconditioners(asm, params, tau)
-            for name in presets:
+            for name in BENCH_COLUMNS:
                 try:
                     _, stats = gmres(op, pres[name], asm.rhs, tol=tol,
                                      maxit=maxit)
@@ -426,9 +419,10 @@ def benchmark(n_values, tau_values, tol=BENCH_TOL, maxit=1500,
     tables = []
     for tau in tau_values:
         rows = [f"{n}x{n}" for n in n_values]
-        grid = [[counts[(n, tau, name)] for name in presets] for n in n_values]
+        grid = [[counts[(n, tau, name)] for name in BENCH_COLUMNS]
+                for n in n_values]
         tables.append((tau, IterationTable(
-            row_labels=rows, col_labels=list(presets), counts=grid,
+            row_labels=rows, col_labels=list(BENCH_COLUMNS), counts=grid,
             tol=tol, maxit=maxit,
             header_notes=(f"ic drop tolerance tau={tau:g}",) + notes)))
     return tables, counts

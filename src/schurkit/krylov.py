@@ -9,7 +9,6 @@ preconditioners) can be emitted as CSV or aligned Markdown.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,18 +24,17 @@ class GmresBreakdownError(RuntimeError):
 class LinearOperator:
     """Matrix-free square operator: a dimension plus a matvec callable."""
 
-    def __init__(self, dim, matvec, tag=""):
+    def __init__(self, dim, matvec):
         self.dim = int(dim)
         self._matvec = matvec
-        self.tag = tag
 
     def matvec(self, v):
         return self._matvec(v)
 
     @classmethod
-    def from_dense(cls, a, tag=""):
+    def from_dense(cls, a):
         m = as_square(a)
-        return cls(m.shape[0], lambda v: m @ v, tag=tag)
+        return cls(m.shape[0], lambda v: m @ v)
 
 
 @dataclass
@@ -44,7 +42,6 @@ class SolveStats:
     iterations: int
     residuals: list = field(default_factory=list)
     converged: bool = False
-    wall_time: float = 0.0
 
 
 def gmres(op, precond, b, tol=1e-8, maxit=500):
@@ -55,7 +52,6 @@ def gmres(op, precond, b, tol=1e-8, maxit=500):
     breakdown returns the exact solution; breakdown before convergence
     raises GmresBreakdownError.
     """
-    t0 = time.perf_counter()
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     b = np.asarray(b, dtype=float)
@@ -69,8 +65,7 @@ def gmres(op, precond, b, tol=1e-8, maxit=500):
     beta = float(np.linalg.norm(r0))
     if beta == 0.0:
         return np.zeros(op.dim), SolveStats(iterations=0, residuals=[0.0],
-                                            converged=True,
-                                            wall_time=time.perf_counter() - t0)
+                                            converged=True)
     basis = [r0 / beta]
     h = np.zeros((maxit + 1, maxit))
     cs = np.zeros(maxit)
@@ -126,12 +121,10 @@ def gmres(op, precond, b, tol=1e-8, maxit=500):
                     f"Arnoldi breakdown at step {j + 1} with residual {rel:.3e}"
                 )
             return x, SolveStats(iterations=j + 1, residuals=history,
-                                 converged=True,
-                                 wall_time=time.perf_counter() - t0)
+                                 converged=True)
         basis.append(w / hj1)
     x = solution(maxit)
-    return x, SolveStats(iterations=maxit, residuals=history, converged=False,
-                         wall_time=time.perf_counter() - t0)
+    return x, SolveStats(iterations=maxit, residuals=history, converged=False)
 
 
 # ---------------------------------------------------------------------------
@@ -183,33 +176,3 @@ class IterationTable:
             lines.append("| " + " | ".join(c.ljust(w)
                                            for c, w in zip(row, widths)) + " |")
         return lines
-
-
-def iteration_count_matrix(cells, tol, maxit, header_notes=()):
-    """Run GMRES per cell and tabulate counts.
-
-    cells: iterable of (row_label, col_label, operator, preconditioner, rhs).
-    Rows and columns keep first-appearance order; non-convergence is
-    recorded as None rather than raising.
-    """
-    cells = list(cells)
-    if not cells:
-        raise ValueError("no cells supplied")
-    row_labels = []
-    col_labels = []
-    for r, c, *_ in cells:
-        if r not in row_labels:
-            row_labels.append(r)
-        if c not in col_labels:
-            col_labels.append(c)
-    counts = [[None] * len(col_labels) for _ in row_labels]
-    for r, c, op, pre, rhs in cells:
-        try:
-            _, stats = gmres(op, pre, rhs, tol=tol, maxit=maxit)
-            cell = stats.iterations if stats.converged else None
-        except GmresBreakdownError:
-            cell = None
-        counts[row_labels.index(r)][col_labels.index(c)] = cell
-    return IterationTable(row_labels=row_labels, col_labels=col_labels,
-                          counts=counts, tol=tol, maxit=maxit,
-                          header_notes=tuple(header_notes))

@@ -264,6 +264,8 @@ def make_preconditioner(name, system=None, schur=None, *, sizes=None,
         if isinstance(system, BlockTridiagonalSystem):
             n = system.n
         elif isinstance(system, ArrowheadSystem):
+            if name in NESTED_PRESETS:
+                raise TypeError(f"{name} needs a block-tridiagonal system")
             n = 2
         else:
             raise TypeError(f"unsupported system type {type(system).__name__}")

@@ -46,12 +46,6 @@ class Polynomial:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def __call__(self, x):
-        r = 0.0
-        for c in reversed(self.coeffs):
-            r = r * x + c
-        return r
-
     def at_matrix(self, t):
         return dense.mat_poly_eval(self.coeffs, t)
 
@@ -60,54 +54,28 @@ class Polynomial:
             return []
         return dense.poly_roots(self.coeffs)
 
-    def __str__(self):
-        terms = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0.0:
-                continue
-            mag = abs(c)
-            piece = "" if (mag == 1.0 and k > 0) else f"{mag:g}"
-            if k > 1:
-                piece += f"x^{k}"
-            elif k == 1:
-                piece += "x"
-            terms.append(("-" if c < 0 else "+", piece or "1"))
-        if not terms:
-            return "0"
-        sign0, head = terms[0]
-        out = ("-" if sign0 == "-" else "") + head
-        for sign, piece in terms[1:]:
-            out += f" {sign} {piece}"
-        return out
+
+def _three_term(n, sign):
+    """q_0 = 1, q_1 = x - 1, q_{i+1} = x*q_i + sign*q_{i-1}."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    seq = [[1], [-1, 1]]
+    for _ in range(2, n + 1):
+        nxt = [0] + seq[-1]
+        for k, c in enumerate(seq[-2]):
+            nxt[k] += sign * c
+        seq.append(nxt)
+    return [Polynomial(tuple(c)) for c in seq]
 
 
 def pbar_polynomials(n):
     """q_0 = 1, q_1 = x - 1, q_{i+1} = x*q_i + q_{i-1} (integer coefficients)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    seq = [[1], [-1, 1]]
-    for _ in range(2, n + 1):
-        prev, last = seq[-2], seq[-1]
-        nxt = [0] + last
-        for k, c in enumerate(prev):
-            nxt[k] += c
-        seq.append(nxt)
-    return [Polynomial(tuple(c)) for c in seq]
+    return _three_term(n, 1)
 
 
 def ptilde_polynomials(n):
     """q_0 = 1, q_1 = x - 1, q_{i+1} = x*q_i - q_{i-1} (integer coefficients)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    seq = [[1], [-1, 1]]
-    for _ in range(2, n + 1):
-        prev, last = seq[-2], seq[-1]
-        nxt = [0] + last
-        for k, c in enumerate(prev):
-            nxt[k] -= c
-        seq.append(nxt)
-    return [Polynomial(tuple(c)) for c in seq]
+    return _three_term(n, -1)
 
 
 _X = (0.0, 1.0)

@@ -259,9 +259,8 @@ class TestPreconditioners:
 
 
 class TestBenchmark:
-    def test_small_sweep_ordering(self, params):
-        tables, counts = biot.benchmark([16], [1e-3], tol=1e-8, maxit=800,
-                                        params=params)
+    def test_small_sweep_ordering(self):
+        tables, counts = biot.benchmark([16], [1e-3], tol=1e-8, maxit=800)
         assert len(tables) == 1
         tau, table = tables[0]
         assert tau == 1e-3

@@ -140,6 +140,18 @@ class TestBiotCommand:
             assert rows[0] == "system,PD1,PD2,PD3,PD4,P1,P2,P3,P4"
             assert len(rows) == 3
 
+    def test_csv_counts_pinned(self, capsys):
+        assert run(["biot", "--N", "8,16", "--tau", "1e-3",
+                    "--format", "csv"]) == 0
+        assert capsys.readouterr().out == (
+            "# tol=4e-06 maxit=1500\n"
+            "# ic drop tolerance tau=0.001\n"
+            "# rhs: body force (1,1), source 1, one implicit step from rest\n"
+            "# dirichlet walls: x=0 and x=1 for displacement and fluid pressure\n"
+            "system,PD1,PD2,PD3,PD4,P1,P2,P3,P4\n"
+            "8x8,28,28,25,36,13,23,23,19\n"
+            "16x16,41,42,37,61,19,38,38,33\n")
+
     def test_check_ordering_small(self, capsys):
         code = run(["biot", "--N", "16", "--tau", "1e-3", "--check-ordering"])
         assert code == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schurkit import blocks, precond
+from schurkit import biot, blocks, precond
 from schurkit import krylov as gmres
 
 
@@ -143,53 +143,33 @@ class TestFiniteTermination:
 
 
 class TestIterationTable:
-    def test_single_identity_cell(self):
-        cells = [("sys", "I", gmres.LinearOperator.from_dense(np.eye(4)),
-                  None, np.ones(4))]
-        table = gmres.iteration_count_matrix(cells, tol=1e-10, maxit=10)
-        assert table.counts == [[1]]
-
-    def test_two_preconditioners_one_system(self):
-        s = make_system(58, (5, 4, 3), zero_tail=True)
-        a = blocks.assemble(s)
-        op = gmres.LinearOperator.from_dense(a)
-        b = np.ones(a.shape[0])
-        cells = [
-            ("sys", "Pn", op, precond.make_preconditioner("Pn", s), b),
-            ("sys", "PD1", op, precond.make_preconditioner("PD1", s), b),
-        ]
-        table = gmres.iteration_count_matrix(cells, tol=1e-12, maxit=40)
-        assert table.col_labels == ["Pn", "PD1"]
-        assert table.counts[0][0] <= 3
-        assert table.counts[0][1] <= 6
+    """The count rule of ``biot.benchmark`` and the table it emits."""
 
     def test_nonconvergence_sentinel(self):
-        rng = np.random.default_rng(59)
-        a = rng.uniform(-1.0, 1.0, (20, 20)) + 5 * np.eye(20)
-        cells = [("s", "none", gmres.LinearOperator.from_dense(a), None,
-                  rng.uniform(-1, 1, 20))]
-        table = gmres.iteration_count_matrix(cells, tol=1e-14, maxit=2)
-        assert table.counts[0][0] is None
-        assert table.cell_text(0, 0) == ">2"
+        tables, counts = biot.benchmark([4], [1e-3], maxit=2)
+        assert set(counts.values()) == {None}
+        _, table = tables[0]
+        assert table.to_csv_lines()[-1] == "4x4," + ",".join([">2"] * 8)
+        bad = biot.ordering_violations(counts, [4], [1e-3])
+        missing = [msg for key, msg in bad if key == ""]
+        assert missing == [f"N=4 tau=0.001 {name}: did not converge"
+                           for name in biot.BENCH_COLUMNS]
 
-    def test_breakdown_recorded_as_sentinel(self):
-        op = gmres.LinearOperator(3, lambda v: np.zeros(3))
-        cells = [("s", "z", op, None, np.ones(3))]
-        table = gmres.iteration_count_matrix(cells, tol=1e-8, maxit=5)
-        assert table.counts[0][0] is None
+    def test_breakdown_recorded_as_sentinel(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise gmres.GmresBreakdownError("forced")
+
+        monkeypatch.setattr(biot, "gmres", broken)
+        _, counts = biot.benchmark([4], [1e-3])
+        assert list(counts.values()) == [None] * len(biot.BENCH_COLUMNS)
 
     def test_csv_and_markdown_emission(self):
-        cells = [("r1", "c1", gmres.LinearOperator.from_dense(np.eye(3)),
-                  None, np.ones(3))]
-        table = gmres.iteration_count_matrix(cells, tol=1e-8, maxit=5,
-                                             header_notes=("note a",))
+        table = gmres.IterationTable(row_labels=["r1"], col_labels=["c1"],
+                                     counts=[[1]], tol=1e-8, maxit=5,
+                                     header_notes=("note a",))
         csv = table.to_csv_lines()
         assert csv[0].startswith("#")
         assert "system,c1" in csv
         assert csv[-1] == "r1,1"
         md = table.to_markdown_lines()
         assert md[-1].startswith("| r1")
-
-    def test_empty_cells_rejected(self):
-        with pytest.raises(ValueError):
-            gmres.iteration_count_matrix([], tol=1e-8, maxit=5)

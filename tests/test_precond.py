@@ -133,6 +133,13 @@ class TestMakePreconditioner:
                 (1, 1), [lambda v: v, None], (1, 1))
         assert exc.value.index == 2
 
+    @pytest.mark.parametrize("name", ["Dn", "Mn", "Pn", "P1", "PD3"])
+    def test_nested_preset_rejects_arrowhead(self, name):
+        s = blocks.random_system(blocks.SystemOptions(seed=1, sizes=(3, 2, 2)))
+        arrow, _ = blocks.permute_threeblock(s)
+        with pytest.raises(TypeError, match=f"{name} needs a block-tridiagonal"):
+            precond.make_preconditioner(name, arrow)
+
     def test_three_block_preset_rejects_other_n(self):
         opts = blocks.SystemOptions(seed=1, sizes=(2, 2, 2, 2))
         s = blocks.random_system(opts)

@@ -164,13 +164,67 @@ class TestIchol:
         target = a.to_dense() + f.shift * np.eye(2)
         assert np.abs(lo @ lo.T - target).max() < 1e-12
 
+    def test_restart_budget_exhausted(self, monkeypatch):
+        # the shift would need to exceed 1e9; 20 doublings reach only 1048.6
+        attempts = []
+        columns = sparse._ict_columns
+
+        def counted(*args):
+            attempts.append(args[4][0])
+            return columns(*args)
+
+        monkeypatch.setattr(sparse, "_ict_columns", counted)
+        a = sparse.csr_from_triplets(2, 2, [
+            (0, 0, 1.0), (0, 1, 1e9), (1, 0, 1e9), (1, 1, 1.0)])
+        with pytest.raises(sparse.CholeskyBreakdownError,
+                           match=r"persisted at shift 1\.049e\+03"):
+            sparse.ichol(a, 0.0)
+        assert attempts == [1.0] + [1.0 + 1e-3 * 2.0 ** k for k in range(20)]
+
     def test_nonpositive_diagonal_rejected(self):
         a = sparse.csr_from_triplets(2, 2, [(0, 0, -1.0), (1, 1, 1.0)])
         with pytest.raises(ValueError):
             sparse.ichol(a, 0.0)
 
 
+def row_by_row_schedule(tri, lower):
+    """Reference level schedule, built one row at a time."""
+    ro, ci, vv = tri.row_offsets, tri.col_indices, tri.values
+    n = tri.rows
+    offdiag = [np.arange(ro[i], ro[i + 1] - 1) if lower
+               else np.arange(ro[i] + 1, ro[i + 1]) for i in range(n)]
+    diag = [ro[i + 1] - 1 if lower else ro[i] for i in range(n)]
+    level = np.zeros(n, dtype=np.int64)
+    for i in (range(n) if lower else reversed(range(n))):
+        if offdiag[i].size:
+            level[i] = level[ci[offdiag[i]]].max() + 1
+    out = []
+    for lev in range(level.max() + 1):
+        rows = np.flatnonzero(level == lev)
+        gather = np.concatenate([offdiag[i] for i in rows])
+        local = np.concatenate([np.full(offdiag[i].size, k)
+                                for k, i in enumerate(rows)])
+        out.append((rows, ci[gather], vv[gather], local,
+                    vv[[diag[i] for i in rows]]))
+    return out
+
+
 class TestIcSolve:
+    @pytest.mark.parametrize("a, tau", [
+        (sparse.csr_identity(5), 0.0),      # levels that gather nothing
+        (five_point_laplacian(6), 0.0),
+        (five_point_laplacian(6), 1e-2),
+    ], ids=["identity", "complete", "dropped"])
+    def test_schedule_matches_row_by_row_reference(self, a, tau):
+        f = sparse.ichol(a, tau)
+        upper = sparse.csr_transpose(f.lower)
+        for got, want in ((f._fwd, row_by_row_schedule(f.lower, True)),
+                          (f._bwd, row_by_row_schedule(upper, False))):
+            assert len(got) == len(want)
+            for level, ref in zip(got, want):
+                for x, y in zip(level, ref):
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
+
     def test_identity_factor(self):
         f = sparse.ichol(sparse.csr_identity(6), 0.0)
         b = np.arange(6.0)
