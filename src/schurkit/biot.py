@@ -22,7 +22,7 @@ from . import precond as pc
 from .krylov import GmresBreakdownError, IterationTable, LinearOperator, gmres
 from .sparse import (CsrMatrix, csr_add, csr_from_triplets, csr_scale,
                      csr_submatrix, csr_transpose, ic_solve, ichol,
-                     read_matrix_market, spmv, write_matrix_market)
+                     spmv, write_matrix_market)
 
 #: benchmark table column order: diagonal family first, then triangular
 BENCH_COLUMNS = ("PD1", "PD2", "PD3", "PD4", "P1", "P2", "P3", "P4")
@@ -517,15 +517,3 @@ def export_blocks(assembly, directory):
     manifest.write_text("\n".join(lines) + "\n", encoding="ascii")
     return manifest
 
-
-def load_blocks(manifest_path):
-    """Read back a block export as a dict keyed by block attribute name."""
-    p = Path(manifest_path)
-    out = {}
-    names = {(role, idx): attr for role, idx, _, attr in _BIOT_MANIFEST}
-    for raw in p.read_text(encoding="ascii").splitlines()[1:]:
-        if not raw.strip():
-            continue
-        role, idx, name = raw.split()
-        out[names[(role, int(idx))]] = read_matrix_market(p.parent / name)
-    return out

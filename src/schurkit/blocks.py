@@ -99,10 +99,6 @@ class BlockTridiagonalSystem:
     def sizes(self):
         return tuple(a.shape[0] for a in self.diag)
 
-    @property
-    def total_size(self):
-        return sum(self.sizes)
-
 
 @dataclass(frozen=True)
 class SchurChain:
@@ -110,10 +106,6 @@ class SchurChain:
 
     blocks: tuple
     factors: tuple
-
-    @property
-    def n(self):
-        return len(self.blocks)
 
 
 def schur_steps(sys):
@@ -189,20 +181,12 @@ class ArrowheadSystem:
                 raise ValueError(f"border column {i + 1} has wrong shape")
 
     @property
-    def m(self):
-        return len(self.leading)
-
-    @property
     def leading_sizes(self):
         return tuple(a.shape[0] for a in self.leading)
 
     @property
     def corner_size(self):
         return self.corner.shape[0]
-
-    @property
-    def total_size(self):
-        return sum(self.leading_sizes) + self.corner_size
 
 
 @dataclass(frozen=True)

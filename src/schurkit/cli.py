@@ -51,40 +51,6 @@ def _parse_float_list(text):
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from None
 
 
-def read_config(path):
-    """key=value lines using the flag names; '#' starts a comment."""
-    pairs = []
-    with open(path, "r", encoding="ascii") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{ln}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            pairs.append((key.strip(), value.strip()))
-    return pairs
-
-
-def _expand_config(argv):
-    """Splice --config file contents in as flags (explicit flags win)."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        return argv
-    path = argv[i + 1]
-    rest = argv[:i] + argv[i + 2:]
-    head, tail = rest[:1], rest[1:]
-    injected = []
-    for key, value in read_config(path):
-        flag = f"--{key}"
-        if flag in tail:
-            continue
-        injected.extend([flag, value])
-    return head + injected + tail
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="schurkit",
@@ -100,7 +66,6 @@ def build_parser():
         "CSV columns: kind,name,seed,residual,min_real_part,"
         "max_membership_distance,status,detail.",
     )
-    pv.add_argument("--config", metavar="FILE", help="key=value file supplying any of this command's flags")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--sizes", type=_parse_sizes, default=(4, 3, 2),
                     help="comma-separated block sizes (default 4,3,2)")
@@ -117,7 +82,6 @@ def build_parser():
     )
     ps.add_argument("--preset", required=True,
                     help="comma-separated preset names")
-    ps.add_argument("--config", metavar="FILE", help="key=value file supplying any of this command's flags")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--sizes", type=_parse_sizes, default=(4, 3, 2))
     ps.add_argument("--n", type=int, default=3,
@@ -130,7 +94,6 @@ def build_parser():
         description="One table per drop tolerance; columns PD1..PD4 then "
         "P1..P4, one row per mesh size. Non-converged cells print >maxit.",
     )
-    pb.add_argument("--config", metavar="FILE", help="key=value file supplying any of this command's flags")
     pb.add_argument("--N", type=_parse_int_list, default=(16,),
                     help="comma-separated cells-per-side values")
     pb.add_argument("--tau", type=_parse_float_list, default=(1e-3,),
@@ -149,7 +112,6 @@ def build_parser():
         "export",
         help="write Matrix Market blocks plus a manifest",
     )
-    pe.add_argument("--config", metavar="FILE", help="key=value file supplying any of this command's flags")
     pe.add_argument("--out", required=True, help="output directory")
     group = pe.add_mutually_exclusive_group(required=True)
     group.add_argument("--biot-N", type=int, default=None,
@@ -171,11 +133,11 @@ def _emit(lines, out_path):
             fh.write(text)
 
 
-def _resolve_presets(arg, parser, allow_empty=False):
+def _resolve_presets(arg, parser):
     if arg is None:
         return None
     names = [s for s in arg.split(",") if s]
-    if not names and not allow_empty:
+    if not names:
         parser.error("empty preset list")
     for name in names:
         if name not in pc.PRESET_NAMES:
@@ -186,6 +148,8 @@ def _resolve_presets(arg, parser, allow_empty=False):
 
 def cmd_verify(args, parser):
     presets = _resolve_presets(args.preset, parser)
+    if args.n is not None and args.n < 2:
+        parser.error("--n must be at least 2")
     rows = verify.run_suite(args.seed, args.sizes, presets=presets,
                             n_sweep=args.n)
     _emit(verify.report_csv_rows(rows), args.out)
@@ -198,16 +162,17 @@ def cmd_verify(args, parser):
 
 def cmd_spectrum(args, parser):
     presets = _resolve_presets(args.preset, parser)
-    if not presets:
-        parser.error("empty preset list")
-    total = sum(args.sizes)
-    guard = max(total, args.n * max(args.sizes))
-    if guard > SPECTRUM_SIZE_GUARD:
-        print(f"size guard: {guard} > {SPECTRUM_SIZE_GUARD}", file=sys.stderr)
-        return EXIT_GUARD
+    if args.n < 2:
+        parser.error("--n must be at least 2")
+    runs = [(p, args.n if p in ("Pn", "Dn", "Mn") else 3) for p in presets]
+    for preset, nn in runs:
+        dim = sum(verify.hypothesis_options(preset, args.seed, args.sizes, nn).sizes)
+        if dim > SPECTRUM_SIZE_GUARD:
+            print(f"size guard: {preset} has {dim} > {SPECTRUM_SIZE_GUARD} unknowns",
+                  file=sys.stderr)
+            return EXIT_GUARD
     lines = ["preset,re,im,root_re,root_im,distance"]
-    for preset in presets:
-        nn = args.n if preset in ("Pn", "Dn", "Mn") else 3
+    for preset, nn in runs:
         t, _, _ = verify.build_preconditioned(preset, args.seed, args.sizes, n=nn)
         eigs = dense.eigenvalues(t)
         roots = verify.predicted_roots(preset, n=nn)
@@ -224,6 +189,10 @@ def cmd_biot(args, parser):
         parser.error("mesh sizes must be positive")
     if any(t < 0 for t in args.tau):
         parser.error("drop tolerances must be nonnegative")
+    if not args.tol > 0:
+        parser.error("--tol must be positive")
+    if args.maxit < 1:
+        parser.error("--maxit must be at least 1")
     tables, counts = biot_mod.benchmark(args.N, args.tau, tol=args.tol,
                                         maxit=args.maxit)
     for tau, table in tables:
@@ -264,13 +233,6 @@ def cmd_export(args, parser):
 
 def main(argv=None):
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    try:
-        argv = _expand_config(list(argv))
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     args = parser.parse_args(argv)
     handlers = {
         "verify": cmd_verify,

@@ -66,12 +66,11 @@ class LUFactors:
 
     ``lu`` holds L strictly below the diagonal (unit diagonal implied) and
     U on and above it.  ``piv[k]`` is the row swapped into position k at
-    step k; ``sign`` is the permutation sign.
+    step k.
     """
 
     lu: np.ndarray
     piv: np.ndarray
-    sign: float
 
     @property
     def n(self):
@@ -89,7 +88,6 @@ def lu_factor(a):
     norm = float(np.abs(m).sum(axis=1).max())
     lu = m.copy()
     piv = np.empty(n, dtype=np.int64)
-    sign = 1.0
     for k in range(n):
         p = k + int(np.argmax(np.abs(lu[k:, k])))
         if abs(lu[p, k]) <= PIVOT_RTOL * norm:
@@ -100,11 +98,10 @@ def lu_factor(a):
         piv[k] = p
         if p != k:
             lu[[k, p]] = lu[[p, k]]
-            sign = -sign
         lu[k + 1:, k] /= lu[k, k]
         if k + 1 < n:
             lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return LUFactors(lu=lu, piv=piv, sign=sign)
+    return LUFactors(lu=lu, piv=piv)
 
 
 def lu_solve(f, b):

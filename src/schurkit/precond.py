@@ -83,11 +83,10 @@ def additive_schur(sys):
 class Preconditioner:
     """Base class: an applicable approximate inverse with a block layout."""
 
-    def __init__(self, sizes, tag=""):
+    def __init__(self, sizes):
         self.sizes = tuple(int(s) for s in sizes)
         self.offsets = np.concatenate(([0], np.cumsum(self.sizes)))
         self.dim = int(self.offsets[-1])
-        self.tag = tag
 
     def _split(self, v):
         """Check a vector (dim,) or block (dim, k) and cut it into block rows."""
@@ -108,7 +107,7 @@ class Preconditioner:
 
 class IdentityPreconditioner(Preconditioner):
     def __init__(self, dim):
-        super().__init__((dim,), tag="identity")
+        super().__init__((dim,))
 
     def apply(self, v):
         return self._split(v)[0].copy()
@@ -117,8 +116,8 @@ class IdentityPreconditioner(Preconditioner):
 class BlockDiagonalPreconditioner(Preconditioner):
     """Independent signed block solves: y_i = delta_i * solve_i(v_i)."""
 
-    def __init__(self, sizes, solves, diag_signs, tag=""):
-        super().__init__(sizes, tag)
+    def __init__(self, sizes, solves, diag_signs):
+        super().__init__(sizes)
         _check_solves(solves, len(self.sizes))
         if len(diag_signs) != len(self.sizes):
             raise ValueError("one sign per diagonal block required")
@@ -138,8 +137,8 @@ class BlockTriangularPreconditioner(Preconditioner):
     y_i = delta_i solve_i(v_i - gamma_{i-1} C_{i-1} y_{i-1}).
     """
 
-    def __init__(self, sizes, solves, diag_signs, sub_matvecs, sub_signs, tag=""):
-        super().__init__(sizes, tag)
+    def __init__(self, sizes, solves, diag_signs, sub_matvecs, sub_signs):
+        super().__init__(sizes)
         nb = len(self.sizes)
         _check_solves(solves, nb)
         if len(diag_signs) != nb:
@@ -251,27 +250,26 @@ def _blockdiag_solver(factors, sizes):
     return solve
 
 
-def make_preconditioner(name, system=None, schur=None, *, sizes=None,
-                        solves=None, sub_matvecs=None, n=None):
+def make_preconditioner(name, system=None, *, sizes=None, solves=None,
+                        sub_matvecs=None):
     """Instantiate a named preconditioner preset.
 
-    Exact mode: pass the system together with its SchurChain (nested
-    presets) or AdditiveSchur (Q presets); solvers come from the stored LU
-    factors.  Inexact mode: pass sizes plus per-block solve callables (and
-    subdiagonal matvecs for triangular families).
+    Exact mode: pass the system; solvers come from the LU factors of its
+    nested Schur chain (nested presets) or additive Schur complement (Q
+    presets).  Inexact mode: pass sizes plus per-block solve callables
+    (and subdiagonal matvecs for triangular families).
     """
-    if system is not None:
-        if isinstance(system, BlockTridiagonalSystem):
-            n = system.n
-        elif isinstance(system, ArrowheadSystem):
-            if name in NESTED_PRESETS:
-                raise TypeError(f"{name} needs a block-tridiagonal system")
-            n = 2
-        else:
-            raise TypeError(f"unsupported system type {type(system).__name__}")
-    elif n is None:
-        if sizes is None:
-            raise ValueError("need a system, or sizes for inexact mode")
+    if isinstance(system, BlockTridiagonalSystem):
+        n = system.n
+    elif isinstance(system, ArrowheadSystem):
+        if name in NESTED_PRESETS:
+            raise TypeError(f"{name} needs a block-tridiagonal system")
+        n = 2
+    elif system is not None:
+        raise TypeError(f"unsupported system type {type(system).__name__}")
+    elif sizes is None:
+        raise ValueError("need a system, or sizes for inexact mode")
+    else:
         n = len(sizes)
     family, diag_signs, sub_signs = preset_pattern(name, n=n)
     additive = family.startswith("additive")
@@ -279,8 +277,7 @@ def make_preconditioner(name, system=None, schur=None, *, sizes=None,
     if system is not None and additive:
         if not isinstance(system, ArrowheadSystem):
             raise TypeError(f"{name} needs an arrowhead system")
-        if schur is None:
-            schur = additive_schur(system)
+        schur = additive_schur(system)
         lead_sizes = system.leading_sizes
         sizes = (sum(lead_sizes), system.corner_size)
         solves = (
@@ -289,22 +286,18 @@ def make_preconditioner(name, system=None, schur=None, *, sizes=None,
         )
         sub_matvecs = (_matvec(np.hstack(system.border_rows)),)
     elif system is not None:
-        if schur is None:
-            schur = nested_chain(system)
         sizes = system.sizes
-        solves = tuple(_lu_solver(f) for f in schur.factors)
+        solves = tuple(_lu_solver(f) for f in nested_chain(system).factors)
         sub_matvecs = tuple(_matvec(c) for c in system.lower)
 
-    if additive and (sizes is None or len(sizes) != 2):
+    if additive and len(sizes) != 2:
         raise ValueError(f"{name} needs two block sizes (leading, corner)")
-    if sizes is None:
-        raise ValueError("need a system, or sizes for inexact mode")
     if family.endswith("diagonal"):
-        return BlockDiagonalPreconditioner(sizes, solves, diag_signs, tag=name)
+        return BlockDiagonalPreconditioner(sizes, solves, diag_signs)
     if sub_matvecs is None or len(sub_matvecs) != len(sizes) - 1:
         raise MissingSolverError(len(sizes))
     return BlockTriangularPreconditioner(
-        sizes, solves, diag_signs, sub_matvecs, sub_signs, tag=name)
+        sizes, solves, diag_signs, sub_matvecs, sub_signs)
 
 
 def preconditioned_matrix(p, system):

@@ -140,15 +140,6 @@ def csr_from_triplets(rows, cols, triplets):
     return CsrMatrix(rows, cols, offsets, jj, vv)
 
 
-def csr_identity(n):
-    return CsrMatrix(n, n, np.arange(n + 1), np.arange(n), np.ones(n))
-
-
-def csr_zero(rows, cols):
-    return CsrMatrix(rows, cols, np.zeros(rows + 1, dtype=np.int64),
-                     np.empty(0, dtype=np.int64), np.empty(0))
-
-
 def spmv(a, x):
     """y = A x for CSR A, computed row by row (deterministic)."""
     x = np.asarray(x, dtype=float)
@@ -161,8 +152,6 @@ def spmv(a, x):
 
 
 def csr_transpose(a):
-    if a.nnz == 0:
-        return csr_zero(a.cols, a.rows)
     order = np.lexsort((a._row_index(), a.col_indices))
     new_rows = a.col_indices[order]
     new_cols = a._row_index()[order]
@@ -202,13 +191,6 @@ def csr_submatrix(a, row_idx, col_idx):
     keep = cols >= 0
     return csr_from_triplets(row_idx.size, col_idx.size,
                              (local_rows[keep], cols[keep], vals[keep]))
-
-
-def csr_equal(a, b):
-    return (a.shape == b.shape
-            and np.array_equal(a.row_offsets, b.row_offsets)
-            and np.array_equal(a.col_indices, b.col_indices)
-            and np.array_equal(a.values, b.values))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +243,7 @@ def _ict_columns(n, ro, ci, vv, shifted_diag, tau, sqrt_diag):
         if not piv > 0.0:
             raise _PivotBreakdown
         ljj = math.sqrt(piv)
-        tr = np.unique(np.concatenate(touched)) if touched else np.empty(0, np.int64)
+        tr = np.unique(np.concatenate(touched))
         tr = tr[tr > j]
         cand = w[tr] / ljj
         # only fill (entries outside the pattern of A) is subject to dropping
@@ -384,14 +366,10 @@ def ichol(a, tau):
             shift = max(2.0 * shift, 1e-3)
             continue
         n = sym.rows
-        ii = np.concatenate(
-            [np.concatenate(([j], col_rows[j])) for j in range(n)]
-        )
-        jj = np.repeat(np.arange(n, dtype=np.int64),
-                       [1 + col_rows[j].size for j in range(n)])
-        vv = np.concatenate(
-            [np.concatenate(([diag_l[j]], col_vals[j])) for j in range(n)]
-        )
+        cols = np.arange(n, dtype=np.int64)
+        ii = np.concatenate([cols, *col_rows])
+        jj = np.concatenate([cols, np.repeat(cols, [r.size for r in col_rows])])
+        vv = np.concatenate([diag_l, *col_vals])
         lower = csr_from_triplets(n, n, (ii, jj, vv))
         return IcFactor(lower=lower, shift=shift, tau=float(tau))
     raise CholeskyBreakdownError(f"pivot breakdown persisted at shift {shift:.3e}")

@@ -161,7 +161,6 @@ def annihilation_residual(t, factors):
 class SpectralReport:
     """Eigenvalues beside the prediction they are checked against."""
 
-    eigenvalues: list
     min_real_part: float = math.inf
     membership: list = field(default_factory=list)
 
@@ -189,8 +188,7 @@ def spectrum_membership(eigs, roots):
         j = int(np.argmin(dists))
         membership.append((z, roots[j], dists[j]))
     min_re = min((z.real for z in eigs), default=math.inf)
-    return SpectralReport(eigenvalues=eigs, min_real_part=min_re,
-                          membership=membership)
+    return SpectralReport(min_real_part=min_re, membership=membership)
 
 
 def positive_stable(eigs, margin=0.0):

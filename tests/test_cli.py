@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import schurkit
 from schurkit import cli
@@ -32,6 +33,10 @@ class TestVerifyCommand:
 
     def test_unknown_preset_is_usage_error(self):
         assert run(["verify", "--preset", "BOGUS"]) == 2
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_n_below_two_is_usage_error(self, n):
+        assert run(["verify", "--n", n]) == 2
 
     def test_n_sweep_adds_family_rows(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -106,6 +111,23 @@ class TestSpectrumCommand:
     def test_size_guard(self):
         assert run(["spectrum", "--preset", "P1",
                     "--sizes", "1200,600,400"]) == 3
+        # Dn at n=62 generates blocks 63, 62, ..., 2: 2015 unknowns
+        assert run(["spectrum", "--preset", "Dn", "--sizes", "2,2",
+                    "--n", "62"]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["--preset", "Pn", "--n", "1"],
+        ["--preset", "Dn", "--n", "0"],
+    ])
+    def test_n_below_two_is_usage_error(self, argv):
+        assert run(["spectrum"] + argv) == 2
+
+    def test_size_guard_ignores_n_for_three_block_presets(self, tmp_path):
+        # P1 always has three blocks: 90 unknowns whatever --n says
+        out = tmp_path / "spec.csv"
+        assert run(["spectrum", "--preset", "P1", "--sizes", "30,30,30",
+                    "--n", "70", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 90
 
     def test_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -159,6 +181,11 @@ class TestBiotCommand:
     def test_bad_mesh_size(self):
         assert run(["biot", "--N", "0"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--tol", "0"], ["--tol=-1e-6"], ["--maxit", "0"]])
+    def test_bad_solver_setting_is_usage_error(self, argv):
+        assert run(["biot", "--N", "4"] + argv) == 2
+
 
 class TestExportCommand:
     def test_random_system_round_trip(self, tmp_path, capsys):
@@ -191,34 +218,6 @@ class TestExportCommand:
 
     def test_requires_a_source(self):
         assert run(["export", "--out", "/tmp/x"]) == 2
-
-
-class TestConfigFile:
-    def test_config_supplies_flags(self, tmp_path):
-        cfg = tmp_path / "bench.cfg"
-        cfg.write_text("seed=7\nsizes=4,3,2\n# a comment\n")
-        out = tmp_path / "r.csv"
-        code = run(["verify", "--config", str(cfg), "--out", str(out)])
-        assert code == 0
-        assert ",7," in out.read_text()
-
-    def test_explicit_flag_wins(self, tmp_path):
-        cfg = tmp_path / "bench.cfg"
-        cfg.write_text("seed=7\n")
-        out = tmp_path / "r.csv"
-        code = run(["verify", "--config", str(cfg), "--seed", "9",
-                    "--out", str(out)])
-        assert code == 0
-        text = out.read_text()
-        assert ",9," in text and ",7," not in text
-
-    def test_bad_config_line(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("this is not a pair\n")
-        assert run(["verify", "--config", str(cfg)]) == 2
-
-    def test_missing_config_file(self, tmp_path):
-        assert run(["verify", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
 class TestExitCodes:

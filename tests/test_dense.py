@@ -11,13 +11,11 @@ class TestLuFactor:
         f = dense.lu_factor(np.eye(3))
         assert np.array_equal(f.lu, np.eye(3))
         assert np.array_equal(f.piv, np.arange(3))
-        assert f.sign == 1.0
 
     def test_permutation_matrix(self):
         f = dense.lu_factor([[0.0, 1.0], [1.0, 0.0]])
         # one row swap makes the combined storage the identity
         assert np.array_equal(f.lu, np.eye(2))
-        assert f.sign == -1.0
 
     def test_seeded_reconstruction(self):
         rng = np.random.default_rng(42)

@@ -1,0 +1,38 @@
+"""The benchmark harness in perfbench/ wraps library names by attribute.
+
+Its own tests are slow and run apart from this suite, so this test makes a
+renamed or deleted wrapped name fail here: ``install_spans`` looks every
+name up when it installs its wrappers.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from schurkit import biot, krylov, precond
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses resolve annotations here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_install_spans_finds_every_wrapped_name():
+    spans, workloads = load("spans"), load("workloads")
+    watched = ((biot, "spmv"), (krylov.LinearOperator, "matvec"),
+               (precond, "make_preconditioner"))
+    before = [getattr(owner, attr) for owner, attr in watched]
+    tracer = spans.Tracer()
+    workloads.install_spans(tracer, {})
+    try:
+        assert all(getattr(owner, attr) is not orig
+                   for (owner, attr), orig in zip(watched, before))
+    finally:
+        tracer.uninstall()
+    assert [getattr(owner, attr) for owner, attr in watched] == before

@@ -183,7 +183,7 @@ class TestApply:
                                     zero_tail=name.startswith("PD"))
         s = blocks.random_system(opts)
         chain = precond.nested_chain(s)
-        p = precond.make_preconditioner(name, s, chain)
+        p = precond.make_preconditioner(name, s)
         pm = assemble_preconditioner_dense(name, s, chain)
         rng = np.random.default_rng(44)
         v = rng.uniform(-1.0, 1.0, p.dim)
@@ -198,7 +198,7 @@ class TestApply:
         s = blocks.random_system(opts)
         arrow, _ = blocks.permute_threeblock(s)
         ad = precond.additive_schur(arrow)
-        p = precond.make_preconditioner(name, arrow, ad)
+        p = precond.make_preconditioner(name, arrow)
         na = 4 + 2
         pm = np.zeros((9, 9))
         pm[:4, :4] = arrow.leading[0]
@@ -220,7 +220,7 @@ class TestPreconditionedMatrix:
         s = blocks.random_system(opts)
         chain = precond.nested_chain(s)
         t = precond.preconditioned_matrix(
-            precond.make_preconditioner("P1", s, chain), s)
+            precond.make_preconditioner("P1", s), s)
         rel = np.abs(t).max()
         # unit diagonal blocks, vanishing strictly-lower blocks
         assert np.abs(t[:4, :4] - np.eye(4)).max() <= 1e-11 * rel
