@@ -1,25 +1,28 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from schurkit import sparse
+from schurkit import biot, sparse
 
 
-def five_point_laplacian(n):
-    """2-D grid Laplacian, Dirichlet, n*n unknowns."""
+def five_point_laplacian(n, width=None):
+    """2-D grid Laplacian, Dirichlet, n rows of width (default n) unknowns."""
+    m = n if width is None else width
     tr = []
     for j in range(n):
-        for i in range(n):
-            k = j * n + i
+        for i in range(m):
+            k = j * m + i
             tr.append((k, k, 4.0))
             if i > 0:
                 tr.append((k, k - 1, -1.0))
-            if i < n - 1:
+            if i < m - 1:
                 tr.append((k, k + 1, -1.0))
             if j > 0:
-                tr.append((k, k - n, -1.0))
+                tr.append((k, k - m, -1.0))
             if j < n - 1:
-                tr.append((k, k + n, -1.0))
-    return sparse.csr_from_triplets(n * n, n * n, tr)
+                tr.append((k, k + m, -1.0))
+    return sparse.csr_from_triplets(n * m, n * m, tr)
 
 
 def csr_identity(n):
@@ -195,49 +198,74 @@ class TestIchol:
             sparse.ichol(a, 0.0)
         assert attempts == [1.0] + [1.0 + 1e-3 * 2.0 ** k for k in range(20)]
 
+    # sha256 of row_offsets, col_indices and values of L, recorded before
+    # _ict_columns replaced np.unique and np.isin with marker arrays
+    @pytest.mark.parametrize("tau, digest", [
+        (1e-3, "bfd2c9199ee98fd66a35fb03d16980f78671233a42bbd3417133e9b0f8a6d19c"),
+        (1e-4, "cd80d9dc4c3b8595210ead2428332c775d395080490d1ad6e0ca327514ab5541"),
+    ])
+    def test_biot_displacement_factor_bitwise(self, tau, digest, biot8):
+        lower = sparse.ichol(biot8.a_u, tau).lower
+        h = hashlib.sha256()
+        for arr in (lower.row_offsets, lower.col_indices, lower.values):
+            h.update(arr.tobytes())
+        assert h.hexdigest() == digest
+
     def test_nonpositive_diagonal_rejected(self):
         a = sparse.csr_from_triplets(2, 2, [(0, 0, -1.0), (1, 1, 1.0)])
         with pytest.raises(ValueError):
             sparse.ichol(a, 0.0)
 
 
-def row_by_row_schedule(tri, lower):
-    """Reference level schedule, built one row at a time."""
-    ro, ci, vv = tri.row_offsets, tri.col_indices, tri.values
-    n = tri.rows
-    offdiag = [np.arange(ro[i], ro[i + 1] - 1) if lower
-               else np.arange(ro[i] + 1, ro[i + 1]) for i in range(n)]
-    diag = [ro[i + 1] - 1 if lower else ro[i] for i in range(n)]
-    level = np.zeros(n, dtype=np.int64)
-    for i in (range(n) if lower else reversed(range(n))):
-        if offdiag[i].size:
-            level[i] = level[ci[offdiag[i]]].max() + 1
-    out = []
-    for lev in range(level.max() + 1):
-        rows = np.flatnonzero(level == lev)
-        gather = np.concatenate([offdiag[i] for i in rows])
-        local = np.concatenate([np.full(offdiag[i].size, k)
-                                for k, i in enumerate(rows)])
-        out.append((rows, ci[gather], vv[gather], local,
-                    vv[[diag[i] for i in rows]]))
-    return out
+def dense_substitution(lower, b):
+    """(L L^T)^{-1} b by row-by-row forward and backward substitution."""
+    n = lower.shape[0]
+    y = np.zeros(n)
+    for i in range(n):
+        y[i] = (b[i] - lower[i, :i] @ y[:i]) / lower[i, i]
+    x = np.zeros(n)
+    for i in reversed(range(n)):
+        x[i] = (y[i] - lower[i + 1:, i] @ x[i + 1:]) / lower[i, i]
+    return x
+
+
+@pytest.fixture(scope="module")
+def biot8():
+    return biot.assemble_biot(biot.build_mesh(8), biot.BiotParameters())
+
+
+@pytest.fixture(scope="module")
+def biot8_factors(biot8):
+    pres = biot.build_biot_preconditioners(biot8, biot.BiotParameters(), 1e-3)
+    return {"u": pres.factor_u, "xi": pres.factor_xi, "p": pres.factor_p}
+
+
+def assert_matches_dense_substitution(f):
+    b = np.random.default_rng(18).uniform(-1.0, 1.0, f.n)
+    want = dense_substitution(f.lower.to_dense(), b)
+    got = sparse.ic_solve(f, b)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestIcSolve:
-    @pytest.mark.parametrize("a, tau", [
-        (csr_identity(5), 0.0),      # levels that gather nothing
-        (five_point_laplacian(6), 0.0),
-        (five_point_laplacian(6), 1e-2),
-    ], ids=["identity", "complete", "dropped"])
-    def test_schedule_matches_row_by_row_reference(self, a, tau):
+    # grids of width 8 with fewer rows than, a multiple of, and more rows
+    # (with a remainder) than the block size of the triangular solves
+    @pytest.mark.parametrize("rows, tau", [
+        (sparse._BLOCK // 16, 0.0),
+        (sparse._BLOCK // 4, 0.0),
+        (sparse._BLOCK // 4 + 3, 0.0),
+        (sparse._BLOCK // 4 + 3, 1e-2),
+    ], ids=["below_k", "multiple_of_k", "remainder", "dropped_fill"])
+    def test_matches_dense_substitution(self, rows, tau):
+        a = five_point_laplacian(rows, 8)
         f = sparse.ichol(a, tau)
-        upper = sparse.csr_transpose(f.lower)
-        for got, want in ((f._fwd, row_by_row_schedule(f.lower, True)),
-                          (f._bwd, row_by_row_schedule(upper, False))):
-            assert len(got) == len(want)
-            for level, ref in zip(got, want):
-                for x, y in zip(level, ref):
-                    assert x.dtype == y.dtype and np.array_equal(x, y)
+        if tau:
+            assert f.lower.nnz < sparse.ichol(a, 0.0).lower.nnz
+        assert_matches_dense_substitution(f)
+
+    @pytest.mark.parametrize("block", ["u", "xi", "p"])
+    def test_biot_factors_match_dense_substitution(self, block, biot8_factors):
+        assert_matches_dense_substitution(biot8_factors[block])
 
     def test_identity_factor(self):
         f = sparse.ichol(csr_identity(6), 0.0)
