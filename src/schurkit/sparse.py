@@ -43,7 +43,7 @@ class CsrMatrix:
     and all values are finite.
     """
 
-    __slots__ = ("rows", "cols", "row_offsets", "col_indices", "values", "_rowidx")
+    __slots__ = ("rows", "cols", "row_offsets", "col_indices", "values")
 
     def __init__(self, rows, cols, row_offsets, col_indices, values):
         self.rows = int(rows)
@@ -51,7 +51,6 @@ class CsrMatrix:
         self.row_offsets = np.asarray(row_offsets, dtype=np.int64)
         self.col_indices = np.asarray(col_indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=float)
-        self._rowidx = None
         ro = self.row_offsets
         if ro.shape != (self.rows + 1,):
             raise ValueError("row_offsets must have length rows+1")
@@ -80,11 +79,8 @@ class CsrMatrix:
         return (self.rows, self.cols)
 
     def _row_index(self):
-        if self._rowidx is None:
-            self._rowidx = np.repeat(
-                np.arange(self.rows, dtype=np.int64), np.diff(self.row_offsets)
-            )
-        return self._rowidx
+        """Row of each stored entry; built on each call, for set-up code."""
+        return np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.row_offsets))
 
     def to_dense(self):
         d = np.zeros((self.rows, self.cols))
@@ -93,28 +89,26 @@ class CsrMatrix:
 
     def diagonal(self):
         d = np.zeros(min(self.rows, self.cols))
-        idx = self._row_index()
-        on_diag = self.col_indices == idx
+        on_diag = self.col_indices == self._row_index()
         d[self.col_indices[on_diag]] = self.values[on_diag]
         return d
 
 
 def csr_from_triplets(rows, cols, triplets):
-    """Assemble a CsrMatrix from (i, j, value) triples.
+    """Assemble a CsrMatrix from (i, j, value) triples, or from the columns
+    (rows, cols, values) passed as a tuple of three numpy arrays.
 
     Duplicate (i, j) entries are summed; entries that sum to exactly zero
     are dropped.  Raises IndexError for out-of-range indices.
     """
     rows = int(rows)
     cols = int(cols)
-    t = list(triplets) if not isinstance(triplets, tuple) else triplets
-    if isinstance(t, tuple) and len(t) == 3:
-        ii, jj, vv = t
-    elif len(t) == 0:
-        ii = jj = np.empty(0, dtype=np.int64)
-        vv = np.empty(0)
+    if (isinstance(triplets, tuple) and len(triplets) == 3
+            and all(isinstance(c, np.ndarray) for c in triplets)):
+        ii, jj, vv = triplets
     else:
-        arr = np.asarray(t, dtype=float)
+        t = list(triplets)
+        arr = np.asarray(t, dtype=float) if t else np.empty((0, 3))
         ii, jj, vv = arr[:, 0], arr[:, 1], arr[:, 2]
     ii = np.asarray(ii, dtype=np.int64)
     jj = np.asarray(jj, dtype=np.int64)
@@ -142,14 +136,18 @@ def csr_from_triplets(rows, cols, triplets):
 
 
 def spmv(a, x):
-    """y = A x for CSR A, computed row by row (deterministic)."""
+    """y = A x for CSR A, each row summed by np.add.reduceat (deterministic).
+
+    Only non-empty rows are reduced: for an empty segment reduceat returns
+    the next row's first product, not 0.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (a.cols,):
         raise ValueError(f"vector length {x.shape} does not match cols={a.cols}")
-    if a.nnz == 0:
-        return np.zeros(a.rows)
-    prods = a.values * x[a.col_indices]
-    return np.bincount(a._row_index(), weights=prods, minlength=a.rows)
+    y = np.zeros(a.rows)
+    nonempty = np.diff(a.row_offsets) > 0
+    y[nonempty] = np.add.reduceat(a.values * x[a.col_indices], a.row_offsets[:-1][nonempty])
+    return y
 
 
 def csr_transpose(a):
@@ -180,18 +178,15 @@ def csr_submatrix(a, row_idx, col_idx):
     """Submatrix on the given (sorted) row and column index arrays."""
     row_idx = np.asarray(row_idx, dtype=np.int64)
     col_idx = np.asarray(col_idx, dtype=np.int64)
+    rowmap = np.full(a.rows, -1, dtype=np.int64)
+    rowmap[row_idx] = np.arange(row_idx.size)
     colmap = np.full(a.cols, -1, dtype=np.int64)
     colmap[col_idx] = np.arange(col_idx.size)
-    counts = np.diff(a.row_offsets)[row_idx]
-    gather = np.concatenate(
-        [np.arange(a.row_offsets[r], a.row_offsets[r + 1]) for r in row_idx]
-    ) if row_idx.size else np.empty(0, dtype=np.int64)
-    cols = colmap[a.col_indices[gather]]
-    vals = a.values[gather]
-    local_rows = np.repeat(np.arange(row_idx.size, dtype=np.int64), counts)
-    keep = cols >= 0
+    rows = rowmap[a._row_index()]
+    cols = colmap[a.col_indices]
+    keep = (rows >= 0) & (cols >= 0)
     return csr_from_triplets(row_idx.size, col_idx.size,
-                             (local_rows[keep], cols[keep], vals[keep]))
+                             (rows[keep], cols[keep], a.values[keep]))
 
 
 # ---------------------------------------------------------------------------
@@ -441,17 +436,20 @@ def write_matrix_market(path, mat):
 
 
 def read_matrix_market(path):
-    """Read a Matrix Market file; returns CsrMatrix or dense ndarray."""
+    """Read a real or integer general Matrix Market file: CsrMatrix or ndarray."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.readlines()
     if not lines:
         raise MatrixMarketError(path, 1, "empty file")
     header = lines[0].split()
-    if len(header) < 4 or header[0] != "%%MatrixMarket" or header[1] != "matrix":
+    if len(header) != 5 or header[0] != "%%MatrixMarket" or header[1] != "matrix":
         raise MatrixMarketError(path, 1, "bad header")
-    fmt = header[2]
+    fmt, fld, sym = header[2:]
     if fmt not in ("coordinate", "array"):
         raise MatrixMarketError(path, 1, f"unsupported format {fmt!r}")
+    # a symmetric file stores one triangle; read as general it loses the other
+    if fld not in ("real", "integer") or sym != "general":
+        raise MatrixMarketError(path, 1, f"unsupported field/symmetry {fld} {sym}")
     ln = 1
     while ln < len(lines) and lines[ln].startswith("%"):
         ln += 1

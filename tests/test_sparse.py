@@ -37,9 +37,10 @@ def csr_equal(a, b):
             and np.array_equal(a.values, b.values))
 
 
-def random_csr(rng, rows, cols, density=0.3):
+def random_csr(rng, rows, cols, density=0.3, empty_rows=()):
     d = rng.uniform(-1.0, 1.0, (rows, cols))
     d[rng.uniform(0, 1, (rows, cols)) > density] = 0.0
+    d[list(empty_rows)] = 0.0
     tr = [(i, j, d[i, j]) for i in range(rows) for j in range(cols) if d[i, j]]
     return sparse.csr_from_triplets(rows, cols, tr), d
 
@@ -70,6 +71,13 @@ class TestTriplets:
         a = sparse.csr_from_triplets(2, 2, [(0, 1, 1.0), (0, 1, -1.0), (1, 1, 3.0)])
         assert a.nnz == 1
 
+    def test_tuple_of_triples_same_as_list(self):
+        # three triples in a tuple are not the (rows, cols, values) columns
+        tr = [(0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.0)]
+        a = sparse.csr_from_triplets(3, 3, tuple(tr))
+        assert csr_equal(a, sparse.csr_from_triplets(3, 3, tr))
+        assert np.array_equal(a.to_dense(), np.diag([1.0, 2.0, 3.0]))
+
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             sparse.csr_from_triplets(2, 2, [(2, 0, 1.0)])
@@ -87,10 +95,14 @@ class TestSpmv:
         assert np.abs(sparse.spmv(a, np.ones(4))).max() == 0.0
 
     def test_against_dense_oracle(self):
-        rng = np.random.default_rng(11)
-        a, d = random_csr(rng, 20, 20)
-        x = rng.uniform(-1.0, 1.0, 20)
-        assert np.abs(sparse.spmv(a, x) - d @ x).max() < 1e-13
+        # empty first, middle and last rows: a reduceat segment that is
+        # empty returns the next row's first product instead of 0
+        for empty_rows in ((), (0, 1, 9, 19)):
+            rng = np.random.default_rng(11)
+            a, d = random_csr(rng, 20, 20, empty_rows=empty_rows)
+            assert not np.diff(a.row_offsets)[list(empty_rows)].any()
+            x = rng.uniform(-1.0, 1.0, 20)
+            assert np.abs(sparse.spmv(a, x) - d @ x).max() < 1e-13
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rectangular_sizes(self, seed):
@@ -300,10 +312,16 @@ class TestSubmatrix:
     def test_against_dense(self):
         rng = np.random.default_rng(15)
         a, d = random_csr(rng, 13, 17)
-        rows = np.array([0, 2, 5, 12])
-        cols = np.array([1, 3, 4, 16])
-        sub = sparse.csr_submatrix(a, rows, cols)
-        assert np.array_equal(sub.to_dense(), d[np.ix_(rows, cols)])
+        # after a plain selection: no rows, and rows 1, 2 and 9, which hold
+        # entries but none in the selected columns
+        for rows, cols in (([0, 2, 5, 12], [1, 3, 4, 16]),
+                           ([], [1, 3, 4, 16]),
+                           ([1, 2, 9], [0, 3, 4, 5])):
+            rows = np.array(rows, dtype=np.int64)
+            cols = np.array(cols, dtype=np.int64)
+            sub = sparse.csr_submatrix(a, rows, cols)
+            assert sub.shape == (rows.size, cols.size)
+            assert np.array_equal(sub.to_dense(), d[np.ix_(rows, cols)])
 
 
 class TestMatrixMarket:
@@ -324,11 +342,17 @@ class TestMatrixMarket:
         assert np.array_equal(d, e)
 
     def test_bad_header(self, tmp_path):
-        p = tmp_path / "bad.mtx"
-        p.write_text("not a matrix market file\n")
-        with pytest.raises(sparse.MatrixMarketError) as exc:
-            sparse.read_matrix_market(p)
-        assert exc.value.line == 1
+        # a symmetric file stores one triangle; a pattern file has no values
+        for k, text in enumerate((
+                "not a matrix market file\n",
+                "%%MatrixMarket matrix coordinate real symmetric\n"
+                "2 2 2\n1 1 1\n2 1 5\n",
+                "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n")):
+            p = tmp_path / f"bad{k}.mtx"
+            p.write_text(text)
+            with pytest.raises(sparse.MatrixMarketError) as exc:
+                sparse.read_matrix_market(p)
+            assert exc.value.line == 1
 
     def test_truncated_entries(self, tmp_path):
         p = tmp_path / "short.mtx"
