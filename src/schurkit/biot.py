@@ -394,15 +394,22 @@ def benchmark(n_values, tau_values, tol=BENCH_TOL, maxit=1500):
     sizes, columns the presets in table order) and a flat dict keyed by
     (N, tau, preset).  A cell counts its GMRES iterations if GMRES
     converged within maxit, and is None if it did not or broke down.
+    A table whose IC factors needed a diagonal shift names each such N
+    and block in a header note, since a restart changes the counts.
     """
     params = BiotParameters()
     counts = {}
+    shifted = {tau: [] for tau in tau_values}
     for n in n_values:
         mesh = build_mesh(n)
         asm = assemble_biot(mesh, params)
         op = biot_operator(asm)
         for tau in tau_values:
             pres = build_biot_preconditioners(asm, params, tau)
+            for block in ("u", "xi", "p"):
+                shift = getattr(pres, f"factor_{block}").shift
+                if shift:
+                    shifted[tau].append(f"N={n} {block} {shift:g}")
             for name in BENCH_COLUMNS:
                 try:
                     _, stats = gmres(op, pres[name], asm.rhs, tol=tol,
@@ -421,10 +428,12 @@ def benchmark(n_values, tau_values, tol=BENCH_TOL, maxit=1500):
         rows = [f"{n}x{n}" for n in n_values]
         grid = [[counts[(n, tau, name)] for name in BENCH_COLUMNS]
                 for n in n_values]
+        shift_notes = (("ic diagonal shift: " + ", ".join(shifted[tau]),)
+                       if shifted[tau] else ())
         tables.append((tau, IterationTable(
             row_labels=rows, col_labels=list(BENCH_COLUMNS), counts=grid,
             tol=tol, maxit=maxit,
-            header_notes=(f"ic drop tolerance tau={tau:g}",) + notes)))
+            header_notes=(f"ic drop tolerance tau={tau:g}",) + shift_notes + notes)))
     return tables, counts
 
 

@@ -189,6 +189,9 @@ def cmd_biot(args, parser):
         parser.error("mesh sizes must be positive")
     if any(t < 0 for t in args.tau):
         parser.error("drop tolerances must be nonnegative")
+    for flag, values in (("--N", args.N), ("--tau", args.tau)):
+        if len(set(values)) < len(values):
+            parser.error(f"{flag} values must be distinct")
     if not args.tol > 0:
         parser.error("--tol must be positive")
     if args.maxit < 1:

@@ -5,6 +5,15 @@ zeros dropped), matvec, drop-tolerance incomplete Cholesky with a diagonal
 shift safety net, triangular solves by block substitution over inverted
 diagonal blocks, and Matrix Market IO.
 All kernels are sequential / deterministic.
+
+The incomplete Cholesky builds one column of L per step with a fixed
+number of numpy calls.  The updates of all earlier columns go into the
+work vector through one np.subtract.at, which applies repeated indices in
+order; the contributing columns are sorted by when they were last queued,
+latest first, which is the order the per-row linked list of a classic
+left-looking kernel visits them.  Each entry of the work vector therefore
+sees the same floating-point subtractions in the same order, and L is
+bitwise the same as with the linked-list walk.
 """
 
 from __future__ import annotations
@@ -198,57 +207,61 @@ class _PivotBreakdown(Exception):
 
 
 def _ict_columns(n, ro, ci, vv, shifted_diag, tau, sqrt_diag):
-    """Left-looking column IC(tau).  Returns per-column rows/values arrays.
+    """Left-looking column IC(tau).  Returns L^T as a CsrMatrix.
 
-    Column j of L is accumulated in a dense work vector; previously built
-    columns contribute through a linked list keyed by their next untouched
-    row.  A fill value l_ij is kept only when |l_ij| >= tau*sqrt(a_ii*a_jj).
+    Column j of L is accumulated in a dense work vector from the upper
+    triangle of A and the updates of the earlier columns k with
+    l_jk != 0.  A fill value l_ij is kept only when
+    |l_ij| >= tau*sqrt(a_ii*a_jj).  The columns go into one flat store,
+    diagonal first, so the store is L^T in CSR.
+
+    Column k waits on row nextrow[k], the row of its next unapplied
+    entry, so the contributors of j are the k with nextrow[k] == j.  Their
+    updates are applied by one np.subtract.at, in the order in which the
+    classic kernel walks its linked list of contributors (a LIFO per row;
+    tests/test_sparse.py keeps that walk as the oracle): k was last queued in iteration step[k] // (n+1), at its rank
+    step[k] % (n+1) in that iteration's traversal, where a column queued
+    at the end of its own iteration has rank n.  Later pushes come first,
+    so sorting the contributors by step, descending, gives every w[r] the
+    same sequence of subtractions, and L stays bitwise the same.
+
+    w is zero outside the rows column j touches, and a touched row whose
+    value ends exactly zero is dropped anyway, so the candidate rows are
+    the nonzeros of w below the diagonal, up to the last row that A or an
+    update reaches.
     """
     w = np.zeros(n)
-    # marker arrays, reused across columns: last[r] is the position of
-    # row r's latest copy in the touched rows, in_a[r] is set while r is
-    # in the pattern of A's column j
-    last = np.zeros(n, dtype=np.int64)
+    # in_a[r] is set while r is in the pattern of A's column j
     in_a = np.zeros(n, dtype=bool)
-    head = np.full(n, -1, dtype=np.int64)
-    nxt = np.full(n, -1, dtype=np.int64)
+    nextrow = np.full(n, -1, dtype=np.int64)
     ptr = np.zeros(n, dtype=np.int64)
-    col_rows = [None] * n
-    col_vals = [None] * n
-    diag_l = np.zeros(n)
+    step = np.zeros(n, dtype=np.int64)
+    # first entry of each row of A on or right of the diagonal
+    row_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(ro))
+    upper = ro[:-1] + np.bincount(row_of[ci < row_of], minlength=n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    cap = max(2 * int(ro[-1]), n + 1)
+    rows_l = np.empty(cap, dtype=np.int64)
+    vals_l = np.empty(cap)
     for j in range(n):
-        s, e = ro[j], ro[j + 1]
-        cj = ci[s:e]
-        up = np.searchsorted(cj, j)
-        rows_a = cj[up:]
-        w[rows_a] = vv[s:e][up:]
+        a0, a1 = upper[j], ro[j + 1]
+        rows_a = ci[a0:a1]
+        w[rows_a] = vv[a0:a1]
         w[j] = shifted_diag[j]
-        touched = [rows_a]
-        k = head[j]
-        while k != -1:
-            knext = nxt[k]
-            rk = col_rows[k]
-            vk = col_vals[k]
-            p = ptr[k]
-            seg_r = rk[p:]
-            w[seg_r] -= vk[p] * vk[p:]
-            touched.append(seg_r)
-            p += 1
-            ptr[k] = p
-            if p < rk.size:
-                r = rk[p]
-                nxt[k] = head[r]
-                head[r] = k
-            k = knext
+        ks = np.flatnonzero(nextrow[:j] == j)
+        ks = ks[np.argsort(-step[ks])]
+        pos = ptr[ks]
+        ends = offsets[ks + 1]
+        cnt = ends - pos
+        idx = np.repeat(pos - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+        seg_r = rows_l[idx]
+        np.subtract.at(w, seg_r, np.repeat(vals_l[pos], cnt) * vals_l[idx])
         piv = w[j]
         if not piv > 0.0:
             raise _PivotBreakdown
         ljj = math.sqrt(piv)
-        cat = np.concatenate(touched)
-        cat = cat[cat > j]
-        pos = np.arange(cat.size)
-        last[cat] = pos
-        tr = np.sort(cat[last[cat] == pos])
+        hi = max(rows_a[-1], rows_l[ends - 1].max(initial=j)) + 1
+        tr = np.flatnonzero(w[j + 1:hi] != 0.0) + (j + 1)
         cand = w[tr] / ljj
         # only fill (entries outside the pattern of A) is subject to dropping
         in_a[rows_a] = True
@@ -258,15 +271,27 @@ def _ict_columns(n, ro, ci, vv, shifted_diag, tau, sqrt_diag):
         w[tr] = 0.0
         w[j] = 0.0
         rows_j = tr[keep]
-        col_rows[j] = rows_j
-        col_vals[j] = cand[keep]
-        diag_l[j] = ljj
-        if rows_j.size:
-            r = rows_j[0]
-            nxt[j] = head[r]
-            head[r] = j
-            ptr[j] = 0
-    return diag_l, col_rows, col_vals
+        s = offsets[j]
+        e = s + 1 + rows_j.size
+        if e > cap:
+            cap = 2 * e
+            rows_l = np.resize(rows_l, cap)
+            vals_l = np.resize(vals_l, cap)
+        rows_l[s] = j
+        vals_l[s] = ljj
+        rows_l[s + 1:e] = rows_j
+        vals_l[s + 1:e] = cand[keep]
+        offsets[j + 1] = e
+        # a column past its last entry reads the next column's diagonal,
+        # row k+1 <= j, which no later iteration looks for
+        pos += 1
+        ptr[ks] = pos
+        nextrow[ks] = rows_l[pos]
+        step[ks] = j * (n + 1) + np.arange(ks.size)
+        ptr[j] = s + 1
+        nextrow[j] = rows_l[s + 1] if e > s + 1 else -1
+        step[j] = j * (n + 1) + n
+    return CsrMatrix(n, n, offsets, rows_l[:offsets[n]].copy(), vals_l[:offsets[n]].copy())
 
 
 # Rows per diagonal block of the triangular solves.  A sweep makes a few
@@ -381,20 +406,14 @@ def ichol(a, tau):
     for _ in range(21):
         shifted = diag * (1.0 + shift)
         try:
-            diag_l, col_rows, col_vals = _ict_columns(
+            upper = _ict_columns(
                 sym.rows, sym.row_offsets, sym.col_indices, sym.values,
                 shifted, float(tau), sqrt_diag,
             )
         except _PivotBreakdown:
             shift = max(2.0 * shift, 1e-3)
             continue
-        n = sym.rows
-        cols = np.arange(n, dtype=np.int64)
-        ii = np.concatenate([cols, *col_rows])
-        jj = np.concatenate([cols, np.repeat(cols, [r.size for r in col_rows])])
-        vv = np.concatenate([diag_l, *col_vals])
-        lower = csr_from_triplets(n, n, (ii, jj, vv))
-        return IcFactor(lower=lower, shift=shift, tau=float(tau))
+        return IcFactor(lower=csr_transpose(upper), shift=shift, tau=float(tau))
     raise CholeskyBreakdownError(f"pivot breakdown persisted at shift {shift:.3e}")
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from schurkit import biot
 from schurkit.krylov import gmres
-from schurkit.sparse import read_matrix_market, spmv
+from schurkit.sparse import IcFactor, read_matrix_market, spmv
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +265,28 @@ class TestBenchmark:
         assert tau == 1e-3
         assert table.col_labels == list(biot.BENCH_COLUMNS)
         assert biot.ordering_violations(counts, [16], [1e-3]) == []
+
+    def test_nonzero_ic_shift_named_in_header(self, monkeypatch):
+        # ichol runs per (N, tau) on the u, xi and p blocks in turn, so
+        # calls 10 and 12 factor u and p at N=6, tau=1e-3
+        shifts = {10: 0.25, 12: 0.5}
+        calls = []
+        ichol = biot.ichol
+
+        def shifted(a, tau):
+            calls.append(a)
+            f = ichol(a, tau)
+            return IcFactor(lower=f.lower, shift=shifts.get(len(calls), 0.0),
+                            tau=f.tau)
+
+        monkeypatch.setattr(biot, "ichol", shifted)
+        tables, _ = biot.benchmark([4, 6], [1e-2, 1e-3], tol=1e-6, maxit=300)
+        assert len(calls) == 12
+        notes = {tau: table.header_notes for tau, table in tables}
+        assert notes[1e-3][:2] == ("ic drop tolerance tau=0.001",
+                                   "ic diagonal shift: N=6 u 0.25, N=6 p 0.5")
+        assert notes[1e-3][2:] == notes[1e-2][1:]
+        assert not any("shift" in note for note in notes[1e-2])
 
 
 class TestExport:

@@ -181,8 +181,11 @@ class TestBiotCommand:
     def test_bad_mesh_size(self):
         assert run(["biot", "--N", "0"]) == 2
 
+    # a repeated --N or --tau value would solve and report its cells twice
     @pytest.mark.parametrize("argv", [
-        ["--tol", "0"], ["--tol=-1e-6"], ["--maxit", "0"]])
+        ["--tol", "0"], ["--tol=-1e-6"], ["--maxit", "0"],
+        ["--N", "4,4", "--check-ordering"], ["--N", "4,6,4"],
+        ["--tau", "1e-3,1e-3"], ["--tau", "1e-3,0.001", "--format", "csv"]])
     def test_bad_solver_setting_is_usage_error(self, argv):
         assert run(["biot", "--N", "4"] + argv) == 2
 

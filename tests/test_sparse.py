@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -227,6 +228,119 @@ class TestIchol:
         a = sparse.csr_from_triplets(2, 2, [(0, 0, -1.0), (1, 1, 1.0)])
         with pytest.raises(ValueError):
             sparse.ichol(a, 0.0)
+
+
+def linked_list_lower(a, tau, shift):
+    """L of IC(tau) on A + shift*diag(A) by the left-looking linked-list
+    walk that sparse._ict_columns replaced, assembled from triplets.
+
+    The oracle for the bitwise tests: every earlier column that updates
+    column j is visited through a LIFO list per row, one Python turn per
+    contribution.
+    """
+    sym = sparse.csr_scale(sparse.csr_add(a, sparse.csr_transpose(a)), 0.5)
+    n, ro, ci, vv = sym.rows, sym.row_offsets, sym.col_indices, sym.values
+    diag = sym.diagonal()
+    shifted_diag = diag * (1.0 + shift)
+    sqrt_diag = np.sqrt(diag)
+    w = np.zeros(n)
+    head = np.full(n, -1, dtype=np.int64)
+    nxt = np.full(n, -1, dtype=np.int64)
+    ptr = np.zeros(n, dtype=np.int64)
+    col_rows = [None] * n
+    col_vals = [None] * n
+    diag_l = np.zeros(n)
+    for j in range(n):
+        s, e = ro[j], ro[j + 1]
+        cj = ci[s:e]
+        up = np.searchsorted(cj, j)
+        rows_a = cj[up:]
+        w[rows_a] = vv[s:e][up:]
+        w[j] = shifted_diag[j]
+        touched = [rows_a]
+        k = head[j]
+        while k != -1:
+            knext = nxt[k]
+            rk = col_rows[k]
+            vk = col_vals[k]
+            p = ptr[k]
+            seg_r = rk[p:]
+            w[seg_r] -= vk[p] * vk[p:]
+            touched.append(seg_r)
+            p += 1
+            ptr[k] = p
+            if p < rk.size:
+                r = rk[p]
+                nxt[k] = head[r]
+                head[r] = k
+            k = knext
+        assert w[j] > 0.0
+        ljj = math.sqrt(w[j])
+        tr = np.unique(np.concatenate(touched))
+        tr = tr[tr > j]
+        cand = w[tr] / ljj
+        keep = ((np.abs(cand) >= tau * sqrt_diag[tr] * sqrt_diag[j])
+                | np.isin(tr, rows_a)) & (cand != 0.0)
+        w[tr] = 0.0
+        w[j] = 0.0
+        rows_j = tr[keep]
+        col_rows[j] = rows_j
+        col_vals[j] = cand[keep]
+        diag_l[j] = ljj
+        if rows_j.size:
+            r = rows_j[0]
+            nxt[j] = head[r]
+            head[r] = j
+            ptr[j] = 0
+    cols = np.arange(n, dtype=np.int64)
+    ii = np.concatenate([cols, *col_rows])
+    jj = np.concatenate([cols, np.repeat(cols, [r.size for r in col_rows])])
+    vv = np.concatenate([diag_l, *col_vals])
+    return sparse.csr_from_triplets(n, n, (ii, jj, vv))
+
+
+def random_spd(seed, n=60, density=0.12):
+    """Sparse symmetric matrix made diagonally dominant, so SPD."""
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(-1.0, 1.0, (n, n))
+    d[rng.uniform(0, 1, (n, n)) > density] = 0.0
+    d = np.triu(d, 1)
+    d = d + d.T
+    d += np.diag(np.abs(d).sum(axis=1) + rng.uniform(0.1, 1.0, n))
+    ii, jj = np.nonzero(d)
+    return sparse.csr_from_triplets(n, n, (ii, jj, d[ii, jj]))
+
+
+class TestIcholOracle:
+    """ichol's L equals the linked-list oracle array for array."""
+
+    @staticmethod
+    def assert_same_as_oracle(a, tau):
+        f = sparse.ichol(a, tau)
+        want = linked_list_lower(a, tau, f.shift)
+        assert csr_equal(f.lower, want)
+        return f
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-3, 1e-2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_spd(self, seed, tau):
+        self.assert_same_as_oracle(random_spd(900 + seed), tau)
+
+    def test_laplacian_with_dropped_fill(self):
+        a = five_point_laplacian(12)
+        f = self.assert_same_as_oracle(a, 1e-2)
+        assert f.lower.nnz < sparse.ichol(a, 0.0).lower.nnz
+
+    def test_shift_restart(self):
+        a = sparse.csr_from_triplets(2, 2, [
+            (0, 0, 1.0), (0, 1, 2.0), (1, 0, 2.0), (1, 1, 1.0)])
+        assert self.assert_same_as_oracle(a, 0.0).shift > 1.0
+
+    @pytest.mark.parametrize("tau", [1e-3, 1e-4])
+    def test_biot_pressure_blocks(self, tau, biot8):
+        s_xi, s_p = biot.fourier_schur_approx(biot8, biot.BiotParameters())
+        for block in (s_xi, sparse.csr_scale(s_p, -1.0)):
+            self.assert_same_as_oracle(block, tau)
 
 
 def dense_substitution(lower, b):
