@@ -146,10 +146,16 @@ def _resolve_presets(arg, parser):
     return names
 
 
+def _check_sizes(presets, sizes, parser):
+    if len(sizes) < 3 and any(p not in pc.N_BLOCK_PRESETS for p in presets):
+        parser.error(f"only {', '.join(pc.N_BLOCK_PRESETS)} take two --sizes")
+
+
 def cmd_verify(args, parser):
     presets = _resolve_presets(args.preset, parser)
     if args.n is not None and args.n < 2:
         parser.error("--n must be at least 2")
+    _check_sizes(presets or verify.DEFAULT_VERIFY_PRESETS, args.sizes, parser)
     rows = verify.run_suite(args.seed, args.sizes, presets=presets,
                             n_sweep=args.n)
     _emit(verify.report_csv_rows(rows), args.out)
@@ -164,18 +170,18 @@ def cmd_spectrum(args, parser):
     presets = _resolve_presets(args.preset, parser)
     if args.n < 2:
         parser.error("--n must be at least 2")
-    runs = [(p, args.n if p in ("Pn", "Dn", "Mn") else 3) for p in presets]
-    for preset, nn in runs:
-        dim = sum(verify.hypothesis_options(preset, args.seed, args.sizes, nn).sizes)
+    _check_sizes(presets, args.sizes, parser)
+    for preset in presets:   # three-block presets ignore --n
+        dim = sum(verify.hypothesis_options(preset, args.seed, args.sizes, args.n).sizes)
         if dim > SPECTRUM_SIZE_GUARD:
             print(f"size guard: {preset} has {dim} > {SPECTRUM_SIZE_GUARD} unknowns",
                   file=sys.stderr)
             return EXIT_GUARD
     lines = ["preset,re,im,root_re,root_im,distance"]
-    for preset, nn in runs:
-        t, _, _ = verify.build_preconditioned(preset, args.seed, args.sizes, n=nn)
+    for preset in presets:
+        t, _, _ = verify.build_preconditioned(preset, args.seed, args.sizes, n=args.n)
         eigs = dense.eigenvalues(t)
-        roots = verify.predicted_roots(preset, n=nn)
+        roots = verify.predicted_roots(preset, n=args.n)
         report = verify.spectrum_membership(eigs, roots)
         for z, root, dist in report.membership:
             lines.append(f"{preset},{z.real!r},{z.imag!r},"

@@ -170,32 +170,35 @@ def _check_solves(solves, n):
 # ---------------------------------------------------------------------------
 # presets
 
-# nested triangular: name -> (diag signs, subdiagonal signs)
-_TRIANGULAR = {
-    "P1": ((1, -1, 1), (1, 1)),
-    "P2": ((1, 1, 1), (1, -1)),
-    "P3": ((1, 1, -1), (1, -1)),
-    "P4": ((1, -1, -1), (1, 1)),
+# three-block and additive presets: name -> (family, diag signs, subdiagonal
+# signs); an additive pattern signs its two blocks (leading aggregate, Schur
+# corner) and its single coupling
+_PATTERNS = {
+    "P1": ("triangular", (1, -1, 1), (1, 1)),
+    "P2": ("triangular", (1, 1, 1), (1, -1)),
+    "P3": ("triangular", (1, 1, -1), (1, -1)),
+    "P4": ("triangular", (1, -1, -1), (1, 1)),
+    "PD1": ("diagonal", (1, 1, 1), ()),
+    "PD2": ("diagonal", (1, 1, -1), ()),
+    "PD3": ("diagonal", (1, -1, 1), ()),
+    "PD4": ("diagonal", (1, -1, -1), ()),
+    "Q1": ("additive-triangular", (1, -1), (1,)),
+    "Q2": ("additive-triangular", (1, 1), (1,)),
+    "QD1": ("additive-diagonal", (1, 1), ()),
+    "QD2": ("additive-diagonal", (1, -1), ()),
 }
 
-# nested diagonal: name -> diag signs
-_DIAGONAL = {
-    "PD1": (1, 1, 1),
-    "PD2": (1, 1, -1),
-    "PD3": (1, -1, 1),
-    "PD4": (1, -1, -1),
+# n-block presets: name -> (family, r); block i has diagonal sign r**i and
+# every subdiagonal coupling sign is +1
+_N_BLOCK = {
+    "Pn": ("triangular", -1),
+    "Dn": ("diagonal", -1),
+    "Mn": ("diagonal", 1),
 }
 
-# additive: name -> (family, corner sign in the preconditioner)
-_ADDITIVE = {
-    "Q1": ("triangular", -1),
-    "Q2": ("triangular", 1),
-    "QD1": ("diagonal", 1),
-    "QD2": ("diagonal", -1),
-}
-
-NESTED_PRESETS = ("P1", "P2", "P3", "P4", "PD1", "PD2", "PD3", "PD4", "Pn", "Dn", "Mn")
-ADDITIVE_PRESETS = ("Q1", "Q2", "QD1", "QD2")
+N_BLOCK_PRESETS = tuple(_N_BLOCK)
+ADDITIVE_PRESETS = tuple(k for k, v in _PATTERNS.items() if v[0].startswith("additive"))
+NESTED_PRESETS = tuple(k for k in _PATTERNS if k not in ADDITIVE_PRESETS) + N_BLOCK_PRESETS
 PRESET_NAMES = NESTED_PRESETS + ADDITIVE_PRESETS
 
 
@@ -207,26 +210,15 @@ def preset_pattern(name, n=3):
     blocks (leading aggregate, Schur corner) and sub_signs the single
     coupling.
     """
-    if name in _TRIANGULAR:
-        if n != 3:
-            raise UnknownPresetError(f"{name} is a three-block preset, got n={n}")
-        d, g = _TRIANGULAR[name]
-        return "triangular", d, g
-    if name in _DIAGONAL:
-        if n != 3:
-            raise UnknownPresetError(f"{name} is a three-block preset, got n={n}")
-        return "diagonal", _DIAGONAL[name], ()
-    if name == "Pn":
-        return "triangular", tuple((-1) ** i for i in range(n)), (1,) * (n - 1)
-    if name == "Dn":
-        return "diagonal", tuple((-1) ** i for i in range(n)), ()
-    if name == "Mn":
-        return "diagonal", (1,) * n, ()
-    if name in _ADDITIVE:
-        family, corner = _ADDITIVE[name]
-        return (f"additive-{family}", (1, corner),
-                (1,) if family == "triangular" else ())
-    raise UnknownPresetError(f"unknown preconditioner preset {name!r}")
+    if name in _N_BLOCK:
+        family, r = _N_BLOCK[name]
+        subs = (1,) * (n - 1) if family == "triangular" else ()
+        return family, tuple(r ** i for i in range(n)), subs
+    if name not in _PATTERNS:
+        raise UnknownPresetError(f"unknown preconditioner preset {name!r}")
+    if name in NESTED_PRESETS and n != 3:
+        raise UnknownPresetError(f"{name} is a three-block preset, got n={n}")
+    return _PATTERNS[name]
 
 
 def _lu_solver(f):
@@ -319,15 +311,14 @@ def preconditioned_matrix(p, system):
     return p.apply(a)
 
 
-def build_ldu(sys, chain=None):
+def build_ldu(sys):
     """Block LDU factors of the assembled tridiagonal system.
 
     L is unit lower block-bidiagonal with (-1)**(i-1) C_i S_i^{-1} below
     the diagonal, D = diag((-1)**(i-1) S_i), U is unit upper with
     (-1)**(i-1) S_i^{-1} B_i^T.  assemble(sys) == L @ D @ U.
     """
-    if chain is None:
-        chain = nested_chain(sys)
+    chain = nested_chain(sys)
     sizes = sys.sizes
     offs = np.concatenate(([0], np.cumsum(sizes)))
     tot = offs[-1]

@@ -364,11 +364,12 @@ class IcFactor:
     lower: CsrMatrix
     shift: float
     tau: float
-    _upper: CsrMatrix = field(init=False, repr=False)
+    _upper: CsrMatrix = field(default=None, repr=False)   # L^T; built if not given
     _inverses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._upper = csr_transpose(self.lower)
+        if self._upper is None:
+            self._upper = csr_transpose(self.lower)
         self._inverses = _diagonal_block_inverses(self.lower)
 
     @property
@@ -413,7 +414,7 @@ def ichol(a, tau):
         except _PivotBreakdown:
             shift = max(2.0 * shift, 1e-3)
             continue
-        return IcFactor(lower=csr_transpose(upper), shift=shift, tau=float(tau))
+        return IcFactor(csr_transpose(upper), shift, float(tau), _upper=upper)
     raise CholeskyBreakdownError(f"pivot breakdown persisted at shift {shift:.3e}")
 
 

@@ -88,19 +88,33 @@ _C_M0 = (-1.0, 0.0, -1.0, 1.0)     # x^3 - x^2 - 1
 _C_PM = (-1.0, 2.0, -1.0, 1.0)     # x^3 - x^2 + 2x - 1
 _C_P0 = (1.0, 0.0, -1.0, 1.0)      # x^3 - x^2 + 1
 
-_PREDICTED_3BLOCK = {
-    "P1": (_XM1, _XM1, _XM1),
-    "P2": (_XM1, _XM1, _XP1),
-    "P3": (_XM1, _XP1, _XP1),
-    "P4": (_XM1, _XM1, _XP1),
-    "PD1": (_XM1, _Q_MINUS, _C_MM),
-    "PD2": (_XM1, _Q_MINUS, _C_M0),
-    "PD3": (_XM1, _Q_PLUS, _C_PM),
-    "PD4": (_XM1, _Q_PLUS, _C_P0),
-    "Q1": (_XM1, _XM1),
-    "Q2": (_XM1, _XP1),
-    "QD1": (_X, _XM1, _Q_MINUS),
-    "QD2": (_X, _XM1, _Q_PLUS),
+# name -> (predicted factors, None for the n-block families whose factors
+# depend on n; whether the predicted spectrum sits strictly in the right
+# half-plane).  Stability is not read off the roots: QD2's factors include x,
+# yet QD2 is expected positive stable.
+_THEORY = {
+    "P1": ((_XM1, _XM1, _XM1), True),
+    "P2": ((_XM1, _XM1, _XP1), False),
+    "P3": ((_XM1, _XP1, _XP1), False),
+    "P4": ((_XM1, _XM1, _XP1), False),
+    "PD1": ((_XM1, _Q_MINUS, _C_MM), False),
+    "PD2": ((_XM1, _Q_MINUS, _C_M0), False),
+    "PD3": ((_XM1, _Q_PLUS, _C_PM), True),
+    "PD4": ((_XM1, _Q_PLUS, _C_P0), False),
+    "Pn": (None, True),
+    "Dn": (None, True),
+    "Mn": (None, False),
+    "Q1": ((_XM1, _XM1), True),
+    "Q2": ((_XM1, _XP1), False),
+    "QD1": ((_X, _XM1, _Q_MINUS), False),
+    "QD2": ((_X, _XM1, _Q_PLUS), True),
+}
+
+# n-block presets: n -> predicted factors
+_N_BLOCK_FACTORS = {
+    "Pn": lambda n: [Polynomial(_XM1)] * n,
+    "Dn": lambda n: pbar_polynomials(n)[1:],
+    "Mn": lambda n: ptilde_polynomials(n)[1:],
 }
 
 
@@ -111,21 +125,14 @@ def predicted_polynomial(preset, n=None):
     satisfies under the preset's hypothesis (the diagonal and additive
     block-diagonal families assume the relevant zero diagonal blocks).
     """
-    if preset in _PREDICTED_3BLOCK:
-        return [Polynomial(c) for c in _PREDICTED_3BLOCK[preset]]
-    if preset == "Pn":
-        if n is None:
-            raise ValueError("Pn needs n")
-        return [Polynomial(_XM1)] * n
-    if preset == "Dn":
-        if n is None:
-            raise ValueError("Dn needs n")
-        return pbar_polynomials(n)[1:]
-    if preset == "Mn":
-        if n is None:
-            raise ValueError("Mn needs n")
-        return ptilde_polynomials(n)[1:]
-    raise pc.UnknownPresetError(f"unknown preset {preset!r}")
+    if preset not in _THEORY:
+        raise pc.UnknownPresetError(f"unknown preset {preset!r}")
+    factors = _THEORY[preset][0]
+    if factors is not None:
+        return [Polynomial(c) for c in factors]
+    if n is None:
+        raise ValueError(f"{preset} needs n")
+    return _N_BLOCK_FACTORS[preset](n)
 
 
 def predicted_roots(preset, n=None):
@@ -275,33 +282,23 @@ def coefficient_law_check(k, tol=1e-10):
 # ---------------------------------------------------------------------------
 # verification suite (shared by the CLI and the acceptance tests)
 
-# whether the preset's predicted spectrum sits strictly in the right half-plane
-POSITIVE_STABLE_EXPECTED = {
-    "P1": True, "P2": False, "P3": False, "P4": False,
-    "PD1": False, "PD2": False, "PD3": True, "PD4": False,
-    "Q1": True, "Q2": False, "QD1": False, "QD2": True,
-    "Pn": True, "Dn": True, "Mn": False,
-}
-
-
 def hypothesis_options(preset, seed, sizes, n=None):
     """SystemOptions satisfying the hypothesis under which the preset's
-    polynomial identity holds."""
+    polynomial identity holds, by family: block-diagonal presets get a zero
+    tail, additive block-diagonal ones a zero (smallest) middle block; n is
+    read only by the n-block presets."""
     sizes = tuple(int(s) for s in sizes)
-    if preset in ("PD1", "PD2", "PD3", "PD4"):
-        return SystemOptions(seed=seed, sizes=tuple(sorted(sizes[:3], reverse=True)),
-                             zero_tail=True)
-    if preset in ("QD1", "QD2"):
-        s = sorted(sizes[:3], reverse=True)
-        return SystemOptions(seed=seed, sizes=(s[0], s[2], s[1]), zero_middle=True)
-    if preset in ("Q1", "Q2"):
-        return SystemOptions(seed=seed, sizes=sizes[:3])
-    if preset in ("Dn", "Mn"):
+    if preset in pc.N_BLOCK_PRESETS:
         nn = n or len(sizes)
-        return SystemOptions(seed=seed, sizes=_tail_sizes(sizes, nn), zero_tail=True)
-    if preset == "Pn":
-        nn = n or len(sizes)
+        if pc.preset_pattern(preset, n=nn)[0] == "diagonal":
+            return SystemOptions(seed=seed, sizes=_tail_sizes(sizes, nn), zero_tail=True)
         return SystemOptions(seed=seed, sizes=_cycle_sizes(sizes, nn))
+    family = pc.preset_pattern(preset)[0]
+    s = sorted(sizes[:3], reverse=True)
+    if family == "diagonal":
+        return SystemOptions(seed=seed, sizes=tuple(s), zero_tail=True)
+    if family == "additive-diagonal":
+        return SystemOptions(seed=seed, sizes=(s[0], s[2], s[1]), zero_middle=True)
     return SystemOptions(seed=seed, sizes=sizes[:3])
 
 
@@ -322,7 +319,7 @@ def build_preconditioned(preset, seed, sizes, n=None):
     """
     opts = hypothesis_options(preset, seed, sizes, n=n)
     sys3 = random_system(opts)
-    if preset in ("Q1", "Q2", "QD1", "QD2"):
+    if preset in pc.ADDITIVE_PRESETS:
         system, _ = permute_threeblock(sys3)
         a = assemble_arrowhead(system)
     else:
@@ -363,7 +360,7 @@ def membership_tolerance(preset, n=None):
 
 def verify_preset(preset, seed, sizes, n=None):
     """One row of the verification suite for one preset and seed."""
-    nn = (n or 3) if preset in ("Pn", "Dn", "Mn") else 3
+    nn = n or 3   # three-block presets ignore it
     t, _, _ = build_preconditioned(preset, seed, sizes, n=nn)
     factors = predicted_polynomial(preset, n=nn)
     residual = annihilation_residual(t, factors)
@@ -374,11 +371,11 @@ def verify_preset(preset, seed, sizes, n=None):
     ok = (residual <= ANNIHILATION_TOL
           and report.max_membership_distance <= tol)
     detail = ""
-    if POSITIVE_STABLE_EXPECTED[preset]:
+    if _THEORY[preset][1]:
         stable = positive_stable(eigs, STABILITY_MARGIN)
         ok = ok and stable
         detail = "positive-stable" if stable else "expected positive stability"
-    label = preset if preset not in ("Pn", "Dn", "Mn") else f"{preset}(n={nn})"
+    label = f"{preset}(n={nn})" if preset in pc.N_BLOCK_PRESETS else preset
     return PresetCheck(kind="preset", name=label, seed=seed, residual=residual,
                        min_real_part=report.min_real_part,
                        max_membership_distance=report.max_membership_distance,
@@ -426,19 +423,11 @@ def run_suite(seed, sizes, presets=None, n_sweep=None):
     n = 2..n_sweep.
     """
     rows = []
-    if presets:
-        names = list(presets)
-    elif n_sweep:
-        names = list(DEFAULT_VERIFY_PRESETS) + ["Mn"]
-    else:
-        names = list(DEFAULT_VERIFY_PRESETS)
+    names = presets or DEFAULT_VERIFY_PRESETS + (("Mn",) if n_sweep else ())
     for preset in names:
-        if preset in ("Pn", "Dn", "Mn"):
-            ns = list(range(2, (n_sweep or 3) + 1)) if n_sweep else [3]
-            for nn in ns:
-                rows.append(verify_preset(preset, seed, sizes, n=nn))
-        else:
-            rows.append(verify_preset(preset, seed, sizes))
+        sweep = n_sweep and preset in pc.N_BLOCK_PRESETS
+        for nn in (range(2, n_sweep + 1) if sweep else (3,)):
+            rows.append(verify_preset(preset, seed, sizes, n=nn))
     rows.extend(verify_ldu(seed, sizes))
     rows.extend(verify_routh())
     return rows

@@ -136,6 +136,28 @@ class TestSpectrumCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestTwoSizes:
+    """Two --sizes suit only the n-block presets; any other is a usage error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--sizes", "4,3"],
+        ["verify", "--sizes", "4,3", "--n", "4"],
+        ["verify", "--sizes", "4,3", "--preset", "Pn,P1"],
+        ["spectrum", "--preset", "QD1", "--sizes", "4,3"],
+        ["spectrum", "--preset", "Pn,PD2", "--sizes", "4,3", "--n", "4"],
+    ])
+    def test_three_block_preset_is_usage_error(self, argv):
+        assert run(argv) == 2
+
+    def test_n_block_presets_accept_two_sizes(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        assert run(["spectrum", "--preset", "Pn", "--sizes", "4,3", "--n", "4",
+                    "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 14
+        assert run(["verify", "--preset", "Pn,Dn,Mn", "--sizes", "4,3",
+                    "--out", str(tmp_path / "report.csv")]) == 0
+
+
 class TestBiotCommand:
     def test_single_row_markdown(self, capsys):
         code = run(["biot", "--N", "8", "--tau", "1e-2", "--tol", "1e-6",

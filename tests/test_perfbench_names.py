@@ -1,8 +1,9 @@
 """The benchmark harness in perfbench/ wraps library names by attribute.
 
-Its own tests are slow and run apart from this suite, so this test makes a
-renamed or deleted wrapped name fail here: ``install_spans`` looks every
-name up when it installs its wrappers.
+Its own tests are slow and run apart from this suite, so these tests make a
+renamed or deleted name fail here: ``install_spans`` looks every wrapped
+name up when it installs its wrappers, and one verify pass calls the verify
+names the workload uses.
 """
 
 import importlib.util
@@ -36,3 +37,10 @@ def test_install_spans_finds_every_wrapped_name():
     finally:
         tracer.uninstall()
     assert [getattr(owner, attr) for owner, attr in watched] == before
+
+
+def test_verify_workload_pass():
+    workloads = load("workloads")
+    result = workloads.VerifyWorkload(0, n_seeds=1).run_pass()
+    assert (result.attempted, result.ops, result.failed) == (52, 52, 0)
+    assert result.wrong == [] and result.details["errors"] == {}

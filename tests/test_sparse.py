@@ -312,13 +312,15 @@ def random_spd(seed, n=60, density=0.12):
 
 
 class TestIcholOracle:
-    """ichol's L equals the linked-list oracle array for array."""
+    """ichol's L equals the linked-list oracle array for array, and the L^T
+    it hands to IcFactor equals the transpose of that L."""
 
     @staticmethod
     def assert_same_as_oracle(a, tau):
         f = sparse.ichol(a, tau)
         want = linked_list_lower(a, tau, f.shift)
         assert csr_equal(f.lower, want)
+        assert csr_equal(f._upper, sparse.csr_transpose(f.lower))
         return f
 
     @pytest.mark.parametrize("tau", [0.0, 1e-3, 1e-2])

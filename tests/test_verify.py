@@ -78,6 +78,90 @@ class TestPredictedPolynomials:
             verify.predicted_polynomial("NOPE")
 
 
+# hypothesis_options(preset, 0, sizes, n) as (sizes, zero_tail, zero_middle),
+# pinned so that a wrongly derived hypothesis fails here and not only in the
+# verify sweep.  Three-block presets ignore n.
+THREE_BLOCK_HYPOTHESES = {
+    ("P1", "P2", "P3", "P4", "Q1", "Q2"): {
+        (9, 7, 5): ((9, 7, 5), False, False),
+        (2, 5, 3): ((2, 5, 3), False, False),
+        (6, 2): ((6, 2), False, False),
+    },
+    ("PD1", "PD2", "PD3", "PD4"): {
+        (9, 7, 5): ((9, 7, 5), True, False),
+        (2, 5, 3): ((5, 3, 2), True, False),
+        (6, 2): ((6, 2), True, False),
+    },
+    ("QD1", "QD2"): {
+        (9, 7, 5): ((9, 5, 7), False, True),
+        (2, 5, 3): ((5, 2, 3), False, True),
+        (6, 2): IndexError,
+    },
+}
+N_BLOCK_HYPOTHESES = {
+    ("Pn",): {
+        ((9, 7, 5), None): ((9, 7, 5), False, False),
+        ((9, 7, 5), 2): ((9, 7), False, False),
+        ((9, 7, 5), 5): ((9, 7, 5, 9, 7), False, False),
+        ((2, 5, 3), None): ((2, 5, 3), False, False),
+        ((2, 5, 3), 2): ((2, 5), False, False),
+        ((2, 5, 3), 5): ((2, 5, 3, 2, 5), False, False),
+        ((6, 2), None): ((6, 2), False, False),
+        ((6, 2), 2): ((6, 2), False, False),
+        ((6, 2), 5): ((6, 2, 6, 2, 6), False, False),
+    },
+    ("Dn", "Mn"): {
+        ((9, 7, 5), None): ((9, 8, 7), True, False),
+        ((9, 7, 5), 2): ((9, 8), True, False),
+        ((9, 7, 5), 5): ((9, 8, 7, 6, 5), True, False),
+        ((2, 5, 3), None): ((5, 4, 3), True, False),
+        ((2, 5, 3), 2): ((5, 4), True, False),
+        ((2, 5, 3), 5): ((6, 5, 4, 3, 2), True, False),
+        ((6, 2), None): ((6, 5), True, False),
+        ((6, 2), 2): ((6, 5), True, False),
+        ((6, 2), 5): ((6, 5, 4, 3, 2), True, False),
+    },
+}
+PINNED_HYPOTHESES = [
+    (name, sizes, n, want)
+    for names, rows in THREE_BLOCK_HYPOTHESES.items() for name in names
+    for sizes, want in rows.items() for n in (None, 2, 5)
+] + [
+    (name, sizes, n, want)
+    for names, rows in N_BLOCK_HYPOTHESES.items() for name in names
+    for (sizes, n), want in rows.items()
+]
+
+
+class TestPresetTables:
+    def test_tables_name_the_same_presets(self):
+        patterns = set(precond._PATTERNS) | set(precond._N_BLOCK)
+        assert len(patterns) == len(precond._PATTERNS) + len(precond._N_BLOCK)
+        assert patterns == set(verify._THEORY) == set(precond.PRESET_NAMES)
+        assert set(verify._N_BLOCK_FACTORS) == set(precond.N_BLOCK_PRESETS)
+        assert {name for name, (factors, _) in verify._THEORY.items()
+                if factors is None} == set(precond.N_BLOCK_PRESETS)
+
+    def test_preset_order(self):
+        assert precond.PRESET_NAMES == (
+            "P1", "P2", "P3", "P4", "PD1", "PD2", "PD3", "PD4", "Pn", "Dn", "Mn",
+            "Q1", "Q2", "QD1", "QD2")
+        assert precond.ADDITIVE_PRESETS == ("Q1", "Q2", "QD1", "QD2")
+        assert precond.N_BLOCK_PRESETS == ("Pn", "Dn", "Mn")
+        assert verify.DEFAULT_VERIFY_PRESETS == (
+            "P1", "P2", "P3", "P4", "PD1", "PD2", "PD3", "PD4",
+            "Q1", "Q2", "QD1", "QD2", "Pn", "Dn")
+
+    @pytest.mark.parametrize("name,sizes,n,want", PINNED_HYPOTHESES)
+    def test_hypothesis_options_pinned(self, name, sizes, n, want):
+        if want is IndexError:
+            with pytest.raises(IndexError):
+                verify.hypothesis_options(name, 0, sizes, n=n)
+            return
+        opts = verify.hypothesis_options(name, 0, sizes, n=n)
+        assert (opts.sizes, opts.zero_tail, opts.zero_middle) == want
+
+
 class TestAnnihilationResidual:
     def test_identity_with_linear_factor(self):
         r = verify.annihilation_residual(np.eye(4), [verify.Polynomial((-1.0, 1.0))])
