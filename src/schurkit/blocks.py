@@ -25,7 +25,7 @@ class GenerationError(RuntimeError):
 
 
 class SingularSchurError(ValueError):
-    """A Schur complement in the chain failed the LU singularity check."""
+    """A Schur complement in the chain failed dense.lu_factor's singularity check."""
 
     def __init__(self, index, message=None):
         super().__init__(message or f"Schur complement S_{index} is singular")
@@ -102,19 +102,19 @@ class BlockTridiagonalSystem:
 
 @dataclass(frozen=True)
 class SchurChain:
-    """Nested Schur complements with their LU factorizations."""
+    """Nested Schur complements with their LAPACK inverses (dense.LUFactors)."""
 
     blocks: tuple
     factors: tuple
 
 
 def schur_steps(sys):
-    """Yield (S_i, LU factors of S_i) for i = 1..n, one complement at a time.
+    """Yield (S_i, dense.lu_factor(S_i)) for i = 1..n, one complement at a time.
 
-    S_1 = A_1, S_{i+1} = A_{i+1} + C_i S_i^{-1} B_i^T.  A consumer that
-    stops early never forms the later complements.  Raises
-    SingularSchurError identifying the first S_i that fails the LU
-    singularity check (1-based).
+    S_1 = A_1, S_{i+1} = A_{i+1} + C_i S_i^{-1} B_i^T.  The factors carry
+    S_i^{-1} and its 1-norm condition number.  A consumer that stops
+    early never forms the later complements.  Raises SingularSchurError
+    identifying the first S_i that fails the singularity check (1-based).
     """
     s = np.array(sys.diag[0])
     for i in range(sys.n):
@@ -321,12 +321,12 @@ def _draw_system(rng, opts):
 
 
 def _chain_ok(sys):
-    # every nested Schur complement must pass the LU singularity check and
-    # stay well conditioned in the 1-norm; the chain stops at the first
-    # complement that fails
+    # every nested Schur complement must pass the singularity check and
+    # stay well conditioned in the 1-norm (the condition number lu_factor
+    # already computed); the chain stops at the first complement that fails
     try:
-        for s, _ in schur_steps(sys):
-            if np.linalg.cond(s, 1) > CHAIN_CONDITION_LIMIT:
+        for _, f in schur_steps(sys):
+            if f.cond > CHAIN_CONDITION_LIMIT:
                 return False
     except SingularSchurError:
         return False

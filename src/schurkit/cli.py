@@ -121,6 +121,10 @@ def build_parser():
     pe.add_argument("--seed", type=int, default=0)
     pe.add_argument("--zero-tail", action="store_true")
     pe.add_argument("--spd", action="store_true")
+    # each handler reports usage errors through its own subparser
+    for p, handler in ((pv, cmd_verify), (ps, cmd_spectrum), (pb, cmd_biot),
+                       (pe, cmd_export)):
+        p.set_defaults(handler=handler, parser=p)
     return parser
 
 
@@ -241,16 +245,9 @@ def cmd_export(args, parser):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "verify": cmd_verify,
-        "spectrum": cmd_spectrum,
-        "biot": cmd_biot,
-        "export": cmd_export,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args, parser)
+        return args.handler(args, args.parser)
     except OSError as exc:
         print(f"IO error: {exc}", file=sys.stderr)
         return EXIT_IO

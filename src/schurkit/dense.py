@@ -1,27 +1,29 @@
 """Dense real linear algebra kernels.
 
-Pivoted LU factorization, eigenvalues (LAPACK ``geev`` through numpy),
-matrix polynomial evaluation, and companion-matrix root finding.
-Everything operates on plain float64 numpy arrays and is deterministic
-for fixed inputs (fixed pivoting rule, fixed accumulation order, no
-randomness).
+Exact block solves through one LAPACK inverse (``getrf``/``getri``
+through numpy) with a 1-norm condition check, eigenvalues (LAPACK
+``geev`` through numpy), matrix polynomial evaluation, and
+companion-matrix root finding.  Everything operates on plain float64
+numpy arrays and is deterministic for fixed inputs (fixed accumulation
+order, no randomness).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# Pivot singularity threshold, relative to the infinity norm of the input.
+# Singularity threshold: a matrix whose 1-norm condition number is not
+# below 1/PIVOT_RTOL counts as singular.
 PIVOT_RTOL = 1e-14
 # Hard cap on the eigensolver input size (desk scale).
 EIGEN_SIZE_LIMIT = 2000
 
 
 class SingularMatrixError(ValueError):
-    """A pivot fell below PIVOT_RTOL times the matrix infinity norm."""
+    """LAPACK found a zero pivot, or the 1-norm condition number is not
+    below 1/PIVOT_RTOL."""
 
 
 class EigenConvergenceError(RuntimeError):
@@ -55,77 +57,44 @@ def as_square(a):
     return m
 
 
-def frobenius(a):
-    a = np.asarray(a, dtype=float)
-    return math.sqrt(float((a * a).sum()))
-
-
 @dataclass(frozen=True)
 class LUFactors:
-    """Combined LU storage with partial-pivot row swaps.
+    """LAPACK inverse (getrf/getri) of a square matrix and its 1-norm
+    condition number ``cond = ||A||_1 ||A^{-1}||_1``."""
 
-    ``lu`` holds L strictly below the diagonal (unit diagonal implied) and
-    U on and above it.  ``piv[k]`` is the row swapped into position k at
-    step k.
-    """
-
-    lu: np.ndarray
-    piv: np.ndarray
+    inv: np.ndarray
+    cond: float
 
     @property
     def n(self):
-        return self.lu.shape[0]
+        return self.inv.shape[0]
 
 
 def lu_factor(a):
-    """Factor a square matrix as P A = L U with partial pivoting.
+    """Invert a square matrix through LAPACK's pivoted LU.
 
-    Raises SingularMatrixError when the pivot column maximum falls at or
-    below PIVOT_RTOL times the infinity norm of the input.
+    Raises SingularMatrixError when LAPACK finds an exactly zero pivot or
+    the 1-norm condition number is not below 1/PIVOT_RTOL.
     """
     m = as_square(a)
-    n = m.shape[0]
-    norm = float(np.abs(m).sum(axis=1).max())
-    lu = m.copy()
-    piv = np.empty(n, dtype=np.int64)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) <= PIVOT_RTOL * norm:
-            raise SingularMatrixError(
-                f"pivot {k} is {abs(lu[p, k]):.3e}, below threshold "
-                f"{PIVOT_RTOL * norm:.3e}"
-            )
-        piv[k] = p
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        if k + 1 < n:
-            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return LUFactors(lu=lu, piv=piv)
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(str(exc)) from exc
+    cond = float(np.linalg.norm(m, 1) * np.linalg.norm(inv, 1))
+    if not cond < 1.0 / PIVOT_RTOL:
+        raise SingularMatrixError(
+            f"1-norm condition number {cond:.3e} is not below {1.0 / PIVOT_RTOL:.3e}"
+        )
+    return LUFactors(inv=inv, cond=cond)
 
 
 def lu_solve(f, b):
     """Solve A x = b given LUFactors of A.  ``b`` may be a vector or matrix."""
     x = np.asarray(b, dtype=float)
-    vec = x.ndim == 1
-    if vec:
-        x = x[:, None]
-    if x.ndim != 2 or x.shape[0] != f.n:
+    if x.ndim not in (1, 2) or x.shape[0] != f.n:
         raise ValueError(f"right-hand side shape {np.shape(b)} does not match n={f.n}")
-    x = x.copy()
-    lu = f.lu
-    n = f.n
-    for k in range(n):
-        p = f.piv[k]
-        if p != k:
-            x[[k, p]] = x[[p, k]]
-    for k in range(n - 1):
-        x[k + 1:] -= np.outer(lu[k + 1:, k], x[k])
-    for k in range(n - 1, -1, -1):
-        x[k] /= lu[k, k]
-        if k:
-            x[:k] -= np.outer(lu[:k, k], x[k])
-    return x[:, 0] if vec else x
+    return f.inv @ x
 
 
 def mat_poly_eval(coeffs, t):

@@ -246,7 +246,7 @@ def make_preconditioner(name, system=None, *, sizes=None, solves=None,
                         sub_matvecs=None):
     """Instantiate a named preconditioner preset.
 
-    Exact mode: pass the system; solvers come from the LU factors of its
+    Exact mode: pass the system; solvers come from the LAPACK inverses of its
     nested Schur chain (nested presets) or additive Schur complement (Q
     presets).  Inexact mode: pass sizes plus per-block solve callables
     (and subdiagonal matvecs for triangular families).
@@ -331,7 +331,7 @@ def build_ldu(sys):
     for i in range(sys.n - 1):
         r, c = offs[i], offs[i + 1]
         sign = (-1) ** i
-        s_inv = dense.lu_solve(chain.factors[i], np.eye(sizes[i]))
+        s_inv = chain.factors[i].inv
         L[c:c + sizes[i + 1], r:r + sizes[i]] = sign * (sys.lower[i] @ s_inv)
         U[r:r + sizes[i], c:c + sizes[i + 1]] = sign * (s_inv @ sys.upper[i])
     return L, D, U

@@ -150,7 +150,7 @@ def annihilation_residual(t, factors):
     threshold serve operators of any scale.
     """
     t = dense.as_square(t)
-    tnorm = dense.frobenius(t)
+    tnorm = np.linalg.norm(t)
     r = None
     scale = 1.0
     for p in factors:
@@ -161,7 +161,7 @@ def annihilation_residual(t, factors):
         scale *= (1.0 + tnorm) ** p.degree
     if r is None:
         raise ValueError("need at least one polynomial factor")
-    return dense.frobenius(r) / scale
+    return np.linalg.norm(r) / scale
 
 
 @dataclass
@@ -294,6 +294,9 @@ def hypothesis_options(preset, seed, sizes, n=None):
             return SystemOptions(seed=seed, sizes=_tail_sizes(sizes, nn), zero_tail=True)
         return SystemOptions(seed=seed, sizes=_cycle_sizes(sizes, nn))
     family = pc.preset_pattern(preset)[0]
+    if len(sizes) < 3:
+        raise ValueError(f"{preset} is a three-block preset and needs three sizes, "
+                         f"got {len(sizes)}")
     s = sorted(sizes[:3], reverse=True)
     if family == "diagonal":
         return SystemOptions(seed=seed, sizes=tuple(s), zero_tail=True)
@@ -390,7 +393,7 @@ def verify_ldu(seed, sizes, n_range=range(2, 9)):
         sys_n = random_system(opts)
         a = assemble(sys_n)
         l, d, u = pc.build_ldu(sys_n)
-        err = dense.frobenius(l @ d @ u - a) / dense.frobenius(a)
+        err = np.linalg.norm(l @ d @ u - a) / np.linalg.norm(a)
         rows.append(PresetCheck(kind="ldu", name=f"n={n}", seed=seed,
                                 residual=err, min_real_part=math.inf,
                                 max_membership_distance=0.0,

@@ -251,3 +251,14 @@ class TestExitCodes:
 
     def test_unknown_command_usage(self):
         assert run(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n", "1"],
+        ["verify", "--sizes", "4,3"],
+        ["spectrum", "--preset", "P1", "--n", "1"],
+        ["biot", "--N", "0"],
+        ["export", "--biot-N", "0", "--out", "unused"],
+    ])
+    def test_usage_error_prints_subcommand_usage(self, argv, capsys):
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"usage: schurkit {argv[0]} ")

@@ -6,42 +6,50 @@ import pytest
 from schurkit import dense
 
 
+def assert_solves_like_numpy(a, rng, rtol):
+    """lu_solve(lu_factor(a), b) agrees with np.linalg.solve(a, b)."""
+    b = rng.uniform(-1.0, 1.0, (a.shape[0], 3))
+    x = dense.lu_solve(dense.lu_factor(a), b)
+    ref = np.linalg.solve(a, b)
+    assert np.abs(x - ref).max() <= rtol * np.abs(ref).max()
+
+
 class TestLuFactor:
     def test_identity(self):
         f = dense.lu_factor(np.eye(3))
-        assert np.array_equal(f.lu, np.eye(3))
-        assert np.array_equal(f.piv, np.arange(3))
+        assert np.array_equal(f.inv, np.eye(3))
+        assert f.cond == 1.0
 
     def test_permutation_matrix(self):
-        f = dense.lu_factor([[0.0, 1.0], [1.0, 0.0]])
-        # one row swap makes the combined storage the identity
-        assert np.array_equal(f.lu, np.eye(2))
+        p = np.array([[0.0, 1.0], [1.0, 0.0]])
+        f = dense.lu_factor(p)
+        assert np.array_equal(f.inv, p)
+        assert f.cond == 1.0
+        assert np.array_equal(dense.lu_solve(f, np.array([2.0, 3.0])), [3.0, 2.0])
 
     def test_seeded_reconstruction(self):
         rng = np.random.default_rng(42)
         a = rng.uniform(-1.0, 1.0, (8, 8))
-        f = dense.lu_factor(a)
-        lo = np.tril(f.lu, -1) + np.eye(8)
-        up = np.triu(f.lu)
-        pa = a.copy()
-        for k, p in enumerate(f.piv):
-            if p != k:
-                pa[[k, p]] = pa[[p, k]]
-        err = dense.frobenius(pa - lo @ up) / dense.frobenius(a)
-        assert err < 1e-13
+        assert_solves_like_numpy(a, rng, 1e-13)
 
     @pytest.mark.parametrize("n", range(2, 51, 7))
     def test_reconstruction_many_sizes(self, n):
         rng = np.random.default_rng(1000 + n)
         a = rng.uniform(-1.0, 1.0, (n, n)) + n * np.eye(n)
-        f = dense.lu_factor(a)
-        lo = np.tril(f.lu, -1) + np.eye(n)
-        up = np.triu(f.lu)
-        pa = a.copy()
-        for k, p in enumerate(f.piv):
-            if p != k:
-                pa[[k, p]] = pa[[p, k]]
-        assert dense.frobenius(pa - lo @ up) <= 1e-12 * dense.frobenius(a)
+        assert_solves_like_numpy(a, rng, 1e-13)
+
+    def test_cond_is_numpy_cond(self):
+        # the generation gate reads f.cond in place of np.linalg.cond(s, 1)
+        rng = np.random.default_rng(5)
+        for n in (1, 4, 9):
+            a = rng.uniform(-1.0, 1.0, (n, n))
+            assert dense.lu_factor(a).cond == np.linalg.cond(a, 1)
+
+    def test_singularity_threshold(self):
+        # condition 1e15 is singular, 1e13 is not (threshold 1/PIVOT_RTOL)
+        with pytest.raises(dense.SingularMatrixError):
+            dense.lu_factor(np.diag([1.0, 1e-15]))
+        dense.lu_factor(np.diag([1.0, 1e-13]))
 
     def test_singular_raises(self):
         with pytest.raises(dense.SingularMatrixError):
@@ -134,7 +142,7 @@ class TestEigenvalues:
         a = rng.uniform(-1.0, 1.0, (n, n))
         a = a + a.T
         eigs = dense.eigenvalues(a)
-        assert max(abs(z.imag) for z in eigs) <= 1e-9 * dense.frobenius(a)
+        assert max(abs(z.imag) for z in eigs) <= 1e-9 * np.linalg.norm(a)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 15, 33, 50])
     def test_trace_equals_eigenvalue_sum(self, n):
@@ -142,8 +150,8 @@ class TestEigenvalues:
         a = rng.uniform(-1.0, 1.0, (n, n))
         eigs = dense.eigenvalues(a)
         total = sum(eigs)
-        assert abs(total.imag) <= 1e-9 * dense.frobenius(a)
-        assert abs(total.real - np.trace(a)) <= 1e-9 * dense.frobenius(a)
+        assert abs(total.imag) <= 1e-9 * np.linalg.norm(a)
+        assert abs(total.real - np.trace(a)) <= 1e-9 * np.linalg.norm(a)
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(8)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -79,23 +80,25 @@ class TestPredictedPolynomials:
 
 
 # hypothesis_options(preset, 0, sizes, n) as (sizes, zero_tail, zero_middle),
-# pinned so that a wrongly derived hypothesis fails here and not only in the
-# verify sweep.  Three-block presets ignore n.
+# or the error it raises, pinned so that a wrongly derived hypothesis fails
+# here and not only in the verify sweep.  Three-block presets ignore n and
+# need three sizes.
+NEEDS_THREE_SIZES = ValueError("needs three sizes")
 THREE_BLOCK_HYPOTHESES = {
     ("P1", "P2", "P3", "P4", "Q1", "Q2"): {
         (9, 7, 5): ((9, 7, 5), False, False),
         (2, 5, 3): ((2, 5, 3), False, False),
-        (6, 2): ((6, 2), False, False),
+        (6, 2): NEEDS_THREE_SIZES,
     },
     ("PD1", "PD2", "PD3", "PD4"): {
         (9, 7, 5): ((9, 7, 5), True, False),
         (2, 5, 3): ((5, 3, 2), True, False),
-        (6, 2): ((6, 2), True, False),
+        (6, 2): NEEDS_THREE_SIZES,
     },
     ("QD1", "QD2"): {
         (9, 7, 5): ((9, 5, 7), False, True),
         (2, 5, 3): ((5, 2, 3), False, True),
-        (6, 2): IndexError,
+        (6, 2): NEEDS_THREE_SIZES,
     },
 }
 N_BLOCK_HYPOTHESES = {
@@ -154,12 +157,18 @@ class TestPresetTables:
 
     @pytest.mark.parametrize("name,sizes,n,want", PINNED_HYPOTHESES)
     def test_hypothesis_options_pinned(self, name, sizes, n, want):
-        if want is IndexError:
-            with pytest.raises(IndexError):
+        if isinstance(want, ValueError):
+            with pytest.raises(ValueError, match=str(want)):
                 verify.hypothesis_options(name, 0, sizes, n=n)
             return
         opts = verify.hypothesis_options(name, 0, sizes, n=n)
         assert (opts.sizes, opts.zero_tail, opts.zero_middle) == want
+
+    @pytest.mark.parametrize("name", [p for p in precond.PRESET_NAMES
+                                      if p not in precond.N_BLOCK_PRESETS])
+    def test_three_block_preset_needs_three_sizes(self, name):
+        with pytest.raises(ValueError, match="needs three sizes"):
+            verify.build_preconditioned(name, 0, (6, 2))
 
 
 class TestAnnihilationResidual:
@@ -331,6 +340,28 @@ class TestSuite:
         rows = verify.verify_routh()
         assert len(rows) == 12
         assert all(r.passed for r in rows)
+
+    def test_generated_systems_pinned(self, monkeypatch):
+        # sha256 of the blocks of every random_system draw in
+        # run_suite(0, (9, 7, 5), n_sweep=8): 33 preset rows and 7 LDU rows.
+        # Recorded with the hand-written pivoted LU; a flipped accept/reject
+        # decision of the generation gate changes it.
+        h = hashlib.sha256()
+        draws = []
+        real = verify.random_system
+
+        def recording(opts):
+            sys = real(opts)
+            draws.append(opts)
+            for a in sys.diag + sys.upper + sys.lower:
+                h.update(a.tobytes())
+            return sys
+
+        monkeypatch.setattr(verify, "random_system", recording)
+        rows = verify.run_suite(0, (9, 7, 5), n_sweep=8)
+        assert len(draws) == 40 and all(r.passed for r in rows)
+        assert h.hexdigest() == (
+            "b7a8048536d5e31722c1a1e642619358aa1a581c20c06a2baf6a6e3bd6dbcc6a")
 
     def test_report_csv_shape(self):
         rows = verify.run_suite(7, (4, 3, 2))
