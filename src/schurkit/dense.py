@@ -2,10 +2,9 @@
 
 Exact block solves through one LAPACK inverse (``getrf``/``getri``
 through numpy) with a 1-norm condition check, eigenvalues (LAPACK
-``geev`` through numpy), matrix polynomial evaluation, and
-companion-matrix root finding.  Everything operates on plain float64
-numpy arrays and is deterministic for fixed inputs (fixed accumulation
-order, no randomness).
+``geev`` through numpy) and matrix polynomial evaluation.  Everything
+operates on plain float64 numpy arrays and is deterministic for fixed
+inputs (fixed accumulation order, no randomness).
 """
 
 from __future__ import annotations
@@ -28,10 +27,6 @@ class SingularMatrixError(ValueError):
 
 class EigenConvergenceError(RuntimeError):
     """LAPACK's QR iteration failed to converge on every eigenvalue."""
-
-
-class ZeroLeadingCoefficientError(ValueError):
-    """Root finding was asked for a polynomial with zero leading coefficient."""
 
 
 class ZeroEigenvalueError(ValueError):
@@ -127,25 +122,6 @@ def eigenvalues(a):
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
     return sorted((complex(z) for z in w), key=lambda z: (z.real, z.imag))
-
-
-def poly_roots(coeffs):
-    """Roots of a real polynomial given ascending coefficients.
-
-    Computed as the eigenvalues of the monic companion matrix.
-    """
-    c = [float(v) for v in coeffs]
-    if len(c) < 2:
-        raise ValueError("polynomial must have degree >= 1")
-    if c[-1] == 0.0:
-        raise ZeroLeadingCoefficientError("leading coefficient is zero")
-    d = len(c) - 1
-    monic = np.array(c[:-1]) / c[-1]
-    comp = np.zeros((d, d))
-    for i in range(d - 1):
-        comp[i + 1, i] = 1.0
-    comp[:, d - 1] = -monic
-    return eigenvalues(comp)
 
 
 def spectral_condition(eigs):

@@ -476,13 +476,17 @@ def read_matrix_market(path):
     if ln >= len(lines):
         raise MatrixMarketError(path, ln + 1, "missing size line")
     size = lines[ln].split()
+    want = "rows cols nnz" if fmt == "coordinate" else "rows cols"
+    if len(size) != len(want.split()):
+        raise MatrixMarketError(path, ln + 1, f"size line needs {want}")
+    try:
+        counts = [int(s) for s in size]
+    except ValueError:
+        raise MatrixMarketError(path, ln + 1, "bad size line") from None
+    if min(counts) < 0:
+        raise MatrixMarketError(path, ln + 1, "negative count in size line")
     if fmt == "coordinate":
-        if len(size) != 3:
-            raise MatrixMarketError(path, ln + 1, "size line needs rows cols nnz")
-        try:
-            rows, cols, nnz = (int(s) for s in size)
-        except ValueError:
-            raise MatrixMarketError(path, ln + 1, "bad size line") from None
+        rows, cols, nnz = counts
         entries = lines[ln + 1:]
         if len(entries) < nnz:
             raise MatrixMarketError(path, len(lines) + 1,
@@ -504,12 +508,7 @@ def read_matrix_market(path):
             return csr_from_triplets(rows, cols, (ii, jj, vv))
         except IndexError:
             raise MatrixMarketError(path, ln + 1, "entry index out of range") from None
-    if len(size) != 2:
-        raise MatrixMarketError(path, ln + 1, "size line needs rows cols")
-    try:
-        rows, cols = (int(s) for s in size)
-    except ValueError:
-        raise MatrixMarketError(path, ln + 1, "bad size line") from None
+    rows, cols = counts
     vals = lines[ln + 1:]
     if len(vals) < rows * cols:
         raise MatrixMarketError(path, len(lines) + 1,

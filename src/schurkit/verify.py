@@ -3,7 +3,8 @@
 Predicted minimal-polynomial factors per preset, the two polynomial
 recurrences behind the n-block diagonal families, normalized annihilation
 residuals, spectrum membership reports, positive-stability verdicts, and
-Routh tables for the half-plane count.
+Routh tables for the half-plane count.  A polynomial is the tuple of its
+ascending float coefficients; numpy's ``polyroots`` finds its roots.
 """
 
 from __future__ import annotations
@@ -28,31 +29,14 @@ class ZeroFirstColumnError(ValueError):
     """A Routh table hit a zero first-column entry; the tabular rule stops."""
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Real polynomial with ascending coefficients and nonzero lead."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        c = tuple(float(v) for v in self.coeffs)
-        if not c:
-            raise ValueError("empty coefficient list")
-        if c[-1] == 0.0 and len(c) > 1:
-            raise ValueError("leading coefficient must be nonzero")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def at_matrix(self, t):
-        return dense.mat_poly_eval(self.coeffs, t)
-
-    def roots(self):
-        if self.degree == 0:
-            return []
-        return dense.poly_roots(self.coeffs)
+def _coefficients(coeffs):
+    """Ascending float coefficients with a nonzero lead (a constant may be 0)."""
+    c = tuple(float(v) for v in coeffs)
+    if not c:
+        raise ValueError("empty coefficient list")
+    if c[-1] == 0.0 and len(c) > 1:
+        raise ValueError("leading coefficient must be nonzero")
+    return c
 
 
 def _three_term(n, sign):
@@ -65,16 +49,16 @@ def _three_term(n, sign):
         for k, c in enumerate(seq[-2]):
             nxt[k] += sign * c
         seq.append(nxt)
-    return [Polynomial(tuple(c)) for c in seq]
+    return [tuple(float(v) for v in c) for c in seq]
 
 
 def pbar_polynomials(n):
-    """q_0 = 1, q_1 = x - 1, q_{i+1} = x*q_i + q_{i-1} (integer coefficients)."""
+    """q_0 = 1, q_1 = x - 1, q_{i+1} = x*q_i + q_{i-1}, as ascending coefficients."""
     return _three_term(n, 1)
 
 
 def ptilde_polynomials(n):
-    """q_0 = 1, q_1 = x - 1, q_{i+1} = x*q_i - q_{i-1} (integer coefficients)."""
+    """q_0 = 1, q_1 = x - 1, q_{i+1} = x*q_i - q_{i-1}, as ascending coefficients."""
     return _three_term(n, -1)
 
 
@@ -112,7 +96,7 @@ _THEORY = {
 
 # n-block presets: n -> predicted factors
 _N_BLOCK_FACTORS = {
-    "Pn": lambda n: [Polynomial(_XM1)] * n,
+    "Pn": lambda n: [_XM1] * n,
     "Dn": lambda n: pbar_polynomials(n)[1:],
     "Mn": lambda n: ptilde_polynomials(n)[1:],
 }
@@ -121,7 +105,7 @@ _N_BLOCK_FACTORS = {
 def predicted_polynomial(preset, n=None):
     """Annihilating-polynomial factors for a preset's preconditioned operator.
 
-    Returns a list of Polynomial factors whose product the operator
+    Returns a list of ascending coefficient tuples whose product the operator
     satisfies under the preset's hypothesis (the diagonal and additive
     block-diagonal families assume the relevant zero diagonal blocks).
     """
@@ -129,17 +113,18 @@ def predicted_polynomial(preset, n=None):
         raise pc.UnknownPresetError(f"unknown preset {preset!r}")
     factors = _THEORY[preset][0]
     if factors is not None:
-        return [Polynomial(c) for c in factors]
+        return list(factors)
     if n is None:
         raise ValueError(f"{preset} needs n")
     return _N_BLOCK_FACTORS[preset](n)
 
 
 def predicted_roots(preset, n=None):
-    """Union (with multiplicity) of the roots of the predicted factors."""
+    """Union (with multiplicity) of the roots of the predicted factors, in
+    factor order; numpy's ``polyroots`` gives each factor's roots sorted."""
     roots = []
-    for p in predicted_polynomial(preset, n=n):
-        roots.extend(p.roots())
+    for c in predicted_polynomial(preset, n=n):
+        roots.extend(complex(z) for z in np.polynomial.polynomial.polyroots(c))
     return roots
 
 
@@ -153,12 +138,11 @@ def annihilation_residual(t, factors):
     tnorm = np.linalg.norm(t)
     r = None
     scale = 1.0
-    for p in factors:
-        if not isinstance(p, Polynomial):
-            p = Polynomial(tuple(p))
-        pt = p.at_matrix(t)
+    for c in factors:
+        c = _coefficients(c)
+        pt = dense.mat_poly_eval(c, t)
         r = pt if r is None else r @ pt
-        scale *= (1.0 + tnorm) ** p.degree
+        scale *= (1.0 + tnorm) ** (len(c) - 1)
     if r is None:
         raise ValueError("need at least one polynomial factor")
     return np.linalg.norm(r) / scale
@@ -220,19 +204,19 @@ class RouthTable:
 
 
 def routh_table(p):
-    """Routh table of a polynomial; sign changes count right-half-plane roots.
+    """Routh table of a polynomial given by its ascending coefficients; sign
+    changes count right-half-plane roots.
 
     Row 0 and row 1 interleave the descending coefficients; each later
     entry is the 2x2 determinant rule.  A zero first-column entry aborts
     construction (ZeroFirstColumnError) since the plain tabular rule is
     then undefined.
     """
-    if not isinstance(p, Polynomial):
-        p = Polynomial(tuple(p))
-    k = p.degree
+    c = _coefficients(p)
+    k = len(c) - 1
     if k < 1:
         raise ValueError("polynomial degree must be >= 1")
-    desc = list(reversed(p.coeffs))
+    desc = list(reversed(c))
     width = (k + 2) // 2
     rows = [
         [desc[j] if j < len(desc) else 0.0 for j in range(0, k + 1, 2)],
@@ -271,7 +255,7 @@ def coefficient_law_check(k, tol=1e-10):
     """
     if k < 3:
         raise ValueError("need k >= 3")
-    c = pbar_polynomials(k)[k].coeffs
+    c = pbar_polynomials(k)[k]
     return (abs(c[k] - 1.0) <= tol
             and abs(c[k - 1] + 1.0) <= tol
             and abs(c[k - 2] - (k - 1.0)) <= tol
@@ -344,17 +328,16 @@ class PresetCheck:
     detail: str = ""
 
 
-def membership_tolerance(preset, n=None):
-    """Defectiveness-aware membership tolerance.
+def membership_tolerance(roots):
+    """Defectiveness-aware membership tolerance for the predicted roots.
 
     1e-7 when every predicted root is simple.  A root of multiplicity k
     makes the operator defective, and computed eigenvalues then scatter
     like eps**(1/k); membership becomes a sanity check at that scale
     (annihilation is the sharp check for those presets).
     """
-    roots = predicted_roots(preset, n=n)
     mult = 1
-    for i, a in enumerate(roots):
+    for a in roots:
         mult = max(mult, sum(1 for b in roots if abs(a - b) < 1e-6))
     if mult == 1:
         return MEMBERSHIP_TOL_COMPUTED
@@ -369,7 +352,7 @@ def verify_preset(preset, seed, sizes, n=None):
     residual = annihilation_residual(t, factors)
     eigs = dense.eigenvalues(t)
     roots = predicted_roots(preset, n=nn)
-    tol = membership_tolerance(preset, n=nn)
+    tol = membership_tolerance(roots)
     report = spectrum_membership(eigs, roots)
     ok = (residual <= ANNIHILATION_TOL
           and report.max_membership_distance <= tol)
@@ -423,8 +406,10 @@ def run_suite(seed, sizes, presets=None, n_sweep=None):
     """Full verification sweep; returns PresetCheck rows.
 
     An n sweep adds rows for every n-block family (Mn included) at each
-    n = 2..n_sweep.
+    n = 2..n_sweep, so n_sweep must be at least 2.
     """
+    if n_sweep is not None and n_sweep < 2:
+        raise ValueError(f"n_sweep must be at least 2, got {n_sweep}")
     rows = []
     names = presets or DEFAULT_VERIFY_PRESETS + (("Mn",) if n_sweep else ())
     for preset in names:

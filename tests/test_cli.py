@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -67,6 +68,14 @@ class TestVerifyCommand:
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 52
         assert all(",pass," in ln for ln in rows)
+
+    def test_seed0_sweep_stdout_pinned(self, capsys):
+        # the whole report: any changed digit of a residual, real part or
+        # membership distance, or any changed verdict, changes the hash
+        assert run(["verify", "--n", "8", "--sizes", "9,7,5", "--seed", "0"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == (
+            "ed1ad9776719c7665cc5fd722d32e1a151b139a630af0e52553fb8207638f54f")
 
     def test_byte_identical_across_blas_threads(self):
         src = str(Path(schurkit.__file__).resolve().parent.parent)

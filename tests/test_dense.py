@@ -177,67 +177,6 @@ class TestEigenvalues:
             dense.eigenvalues(np.eye(3))
 
 
-class TestPolyRoots:
-    def test_cubic_minus_minus(self):
-        # x^3 - x^2 - 2x + 1
-        roots = dense.poly_roots([1.0, -2.0, -1.0, 1.0])
-        got = sorted(z.real for z in roots)
-        assert np.allclose(got, [-1.2470, 0.4450, 1.8019], atol=5e-5)
-        assert max(abs(z.imag) for z in roots) < 1e-12
-
-    def test_cubic_with_complex_pair(self):
-        # x^3 - x^2 - 1
-        roots = sorted(dense.poly_roots([-1.0, 0.0, -1.0, 1.0]),
-                       key=lambda z: (z.real, z.imag))
-        assert abs(roots[2] - 1.4656) < 1e-4
-        assert abs(roots[0] - complex(-0.2328, -0.7926)) < 1e-4
-        assert abs(roots[1] - complex(-0.2328, 0.7926)) < 1e-4
-
-    def test_linear(self):
-        assert dense.poly_roots([-1.0, 1.0]) == [complex(1.0)]
-
-    def test_zero_leading_coefficient(self):
-        with pytest.raises(dense.ZeroLeadingCoefficientError):
-            dense.poly_roots([1.0, 2.0, 0.0])
-
-    def test_degree_zero(self):
-        with pytest.raises(ValueError):
-            dense.poly_roots([5.0])
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_against_newton_refined_known_roots(self, seed):
-        # build the polynomial from well-separated roots, then refine those
-        # roots on the float coefficients with Newton as the oracle
-        rng = np.random.default_rng(seed)
-        deg = int(rng.integers(2, 7))
-        roots = np.sort(rng.choice(np.arange(-10, 10, 0.5), size=deg,
-                                   replace=False) + rng.uniform(-0.1, 0.1, deg))
-        coeffs = np.array([1.0])
-        for r in roots:
-            coeffs = np.convolve(coeffs, [1.0, -r])
-        asc = coeffs[::-1].copy()
-
-        def newton(x0):
-            x = x0
-            for _ in range(60):
-                p = dp = 0.0
-                for c in coeffs:             # descending Horner with derivative
-                    dp = dp * x + p
-                    p = p * x + c
-                if dp == 0.0:
-                    break
-                step = p / dp
-                x -= step
-                if abs(step) < 1e-14 * max(1.0, abs(x)):
-                    break
-            return x
-
-        oracle = sorted(newton(r) for r in roots)
-        got = sorted(z.real for z in dense.poly_roots(asc))
-        assert max(abs(z.imag) for z in dense.poly_roots(asc)) < 1e-8
-        assert np.abs(np.array(got) - np.array(oracle)).max() < 1e-8
-
-
 class TestSpectralCondition:
     def test_simple(self):
         assert dense.spectral_condition([1.0, 2.0]) == 2.0

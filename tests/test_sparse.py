@@ -470,6 +470,17 @@ class TestMatrixMarket:
                 sparse.read_matrix_market(p)
             assert exc.value.line == 1
 
+    def test_negative_size_counts(self, tmp_path):
+        for k, text in enumerate((
+                "%%MatrixMarket matrix array real general\n-1 2\n",
+                "%%MatrixMarket matrix coordinate real general\n2 2 -1\n",
+                "%%MatrixMarket matrix coordinate real general\n-2 2 1\n1 1 1.0\n")):
+            p = tmp_path / f"neg{k}.mtx"
+            p.write_text(text)
+            with pytest.raises(sparse.MatrixMarketError, match="negative") as exc:
+                sparse.read_matrix_market(p)
+            assert exc.value.line == 2
+
     def test_truncated_entries(self, tmp_path):
         p = tmp_path / "short.mtx"
         p.write_text("%%MatrixMarket matrix coordinate real general\n"

@@ -10,27 +10,28 @@ from schurkit import blocks, dense, precond, verify
 class TestRecurrences:
     def test_pbar_base_and_steps(self):
         pb = verify.pbar_polynomials(3)
-        assert pb[1].coeffs == (-1.0, 1.0)
-        assert pb[2].coeffs == (1.0, -1.0, 1.0)          # x^2 - x + 1
-        assert pb[3].coeffs == (-1.0, 2.0, -1.0, 1.0)    # x^3 - x^2 + 2x - 1
+        assert pb[1] == (-1.0, 1.0)
+        assert pb[2] == (1.0, -1.0, 1.0)          # x^2 - x + 1
+        assert pb[3] == (-1.0, 2.0, -1.0, 1.0)    # x^3 - x^2 + 2x - 1
+        assert all(type(v) is float for c in pb for v in c)
 
     def test_ptilde_base_and_steps(self):
         pt = verify.ptilde_polynomials(3)
-        assert pt[1].coeffs == (-1.0, 1.0)
-        assert pt[2].coeffs == (-1.0, -1.0, 1.0)         # x^2 - x - 1
-        assert pt[3].coeffs == (1.0, -2.0, -1.0, 1.0)    # x^3 - x^2 - 2x + 1
+        assert pt[1] == (-1.0, 1.0)
+        assert pt[2] == (-1.0, -1.0, 1.0)         # x^2 - x - 1
+        assert pt[3] == (1.0, -2.0, -1.0, 1.0)    # x^3 - x^2 - 2x + 1
 
     def test_pbar_matches_diagonal_family_cubic(self):
         # the cubic factor of the alternating-sign diagonal preset
         pb3 = verify.pbar_polynomials(3)[3]
         pd3 = verify.predicted_polynomial("PD3")[2]
-        assert pb3.coeffs == pd3.coeffs
+        assert pb3 == pd3
 
     def test_ptilde_matches_plus_sign_family(self):
         pt = verify.ptilde_polynomials(3)
         pd1 = verify.predicted_polynomial("PD1")
-        assert pd1[1].coeffs == pt[2].coeffs
-        assert pd1[2].coeffs == pt[3].coeffs
+        assert pd1[1] == pt[2]
+        assert pd1[2] == pt[3]
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
@@ -66,13 +67,13 @@ class TestPredictedPolynomials:
             "Q1": 2, "Q2": 2, "QD1": 4, "QD2": 4,
         }
         for name, d in degree.items():
-            total = sum(p.degree for p in verify.predicted_polynomial(name))
+            total = sum(len(c) - 1 for c in verify.predicted_polynomial(name))
             assert total == d, name
 
     def test_n_family_degrees(self):
-        assert sum(p.degree for p in verify.predicted_polynomial("Pn", n=5)) == 5
-        assert sum(p.degree for p in verify.predicted_polynomial("Dn", n=5)) == 15
-        assert sum(p.degree for p in verify.predicted_polynomial("Mn", n=5)) == 15
+        assert sum(len(c) - 1 for c in verify.predicted_polynomial("Pn", n=5)) == 5
+        assert sum(len(c) - 1 for c in verify.predicted_polynomial("Dn", n=5)) == 15
+        assert sum(len(c) - 1 for c in verify.predicted_polynomial("Mn", n=5)) == 15
 
     def test_unknown_preset(self):
         with pytest.raises(precond.UnknownPresetError):
@@ -173,12 +174,12 @@ class TestPresetTables:
 
 class TestAnnihilationResidual:
     def test_identity_with_linear_factor(self):
-        r = verify.annihilation_residual(np.eye(4), [verify.Polynomial((-1.0, 1.0))])
+        r = verify.annihilation_residual(np.eye(4), [(-1.0, 1.0)])
         assert r == 0.0
 
     def test_companion_cayley_hamilton(self):
         t = np.array([[0.0, 1.0], [1.0, 1.0]])
-        r = verify.annihilation_residual(t, [verify.Polynomial((-1.0, -1.0, 1.0))])
+        r = verify.annihilation_residual(t, [(-1.0, -1.0, 1.0)])
         assert r < 1e-14
 
     def test_zero_tail_diagonal_preset(self):
@@ -192,6 +193,12 @@ class TestAnnihilationResidual:
     def test_no_factors_rejected(self):
         with pytest.raises(ValueError):
             verify.annihilation_residual(np.eye(2), [])
+
+    @pytest.mark.parametrize("coeffs,msg", [((1.0, 2.0, 0.0), "leading coefficient"),
+                                            ((), "empty")], ids=["zero-lead", "empty"])
+    def test_bad_coefficients_rejected(self, coeffs, msg):
+        with pytest.raises(ValueError, match=msg):
+            verify.annihilation_residual(np.eye(2), [(-1.0, 1.0), coeffs])
 
 
 class TestSpectrumMembership:
@@ -253,7 +260,7 @@ class TestRouthTable:
         assert t.sign_changes == 3
 
     def test_hurwitz_stable_quadratic(self):
-        t = verify.routh_table(verify.Polynomial((1.0, 1.0, 1.0)))
+        t = verify.routh_table((1.0, 1.0, 1.0))
         assert t.first_column == (1.0, 1.0, 1.0)
         assert t.sign_changes == 0
 
@@ -268,7 +275,14 @@ class TestRouthTable:
 
     def test_zero_first_column_raises(self):
         with pytest.raises(verify.ZeroFirstColumnError):
-            verify.routh_table(verify.Polynomial((1.0, 0.0, 1.0)))  # x^2 + 1
+            verify.routh_table((1.0, 0.0, 1.0))  # x^2 + 1
+
+    @pytest.mark.parametrize("coeffs,msg", [((1.0, 2.0, 0.0), "leading coefficient"),
+                                            ((), "empty"), ((5.0,), "degree")],
+                             ids=["zero-lead", "empty", "degree-0"])
+    def test_bad_coefficients_rejected(self, coeffs, msg):
+        with pytest.raises(ValueError, match=msg):
+            verify.routh_table(coeffs)
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_alternating_unit_column(self, k):
@@ -282,10 +296,10 @@ class TestRouthTable:
 class TestCoefficientLaw:
     def test_k3(self):
         assert verify.coefficient_law_check(3)
-        assert verify.pbar_polynomials(3)[3].coeffs == (-1.0, 2.0, -1.0, 1.0)
+        assert verify.pbar_polynomials(3)[3] == (-1.0, 2.0, -1.0, 1.0)
 
     def test_k4_expansion(self):
-        assert verify.pbar_polynomials(4)[4].coeffs == (1.0, -2.0, 3.0, -1.0, 1.0)
+        assert verify.pbar_polynomials(4)[4] == (1.0, -2.0, 3.0, -1.0, 1.0)
         assert verify.coefficient_law_check(4)
 
     @pytest.mark.parametrize("k", range(3, 13))
@@ -362,6 +376,12 @@ class TestSuite:
         assert len(draws) == 40 and all(r.passed for r in rows)
         assert h.hexdigest() == (
             "b7a8048536d5e31722c1a1e642619358aa1a581c20c06a2baf6a6e3bd6dbcc6a")
+
+    @pytest.mark.parametrize("n_sweep", [0, 1])
+    def test_sweep_below_two_rejected(self, n_sweep):
+        # range(2, n_sweep + 1) is empty: the n-block rows would vanish
+        with pytest.raises(ValueError, match="n_sweep must be at least 2"):
+            verify.run_suite(0, (9, 7, 5), n_sweep=n_sweep)
 
     def test_report_csv_shape(self):
         rows = verify.run_suite(7, (4, 3, 2))
