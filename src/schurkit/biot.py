@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import precond as pc
+from .blocks import write_blocks
 from .krylov import GmresBreakdownError, IterationTable, LinearOperator, gmres
 from .sparse import (CsrMatrix, csr_add, csr_from_triplets, csr_scale,
                      csr_submatrix, csr_transpose, ic_solve, ichol,
@@ -499,30 +499,18 @@ def ordering_violations(counts, n_values, tau_values):
 # ---------------------------------------------------------------------------
 # block export
 
-_BIOT_MANIFEST = (
-    ("A", 1, "A_u.mtx", "a_u"),
-    ("A", 2, "A_xi.mtx", "a_xi"),
-    ("A", 3, "A_p.mtx", "a_p"),
-    ("C", 1, "B_uxi.mtx", "b_uxi"),
-    ("C", 2, "B_xip.mtx", "b_xip"),
-    ("M", 1, "M_xi.mtx", "m_xi"),
-    ("M", 2, "M_p.mtx", "m_p"),
-)
-
-
 def export_blocks(assembly, directory):
-    """Write the five system blocks and two mass matrices plus a manifest.
+    """Write the three-block system and the two mass matrices.
 
-    The coupling rows are stored once (the system is symmetric, the
-    superdiagonal blocks are their transposes).  Returns the manifest path.
+    The system blocks go through ``blocks.write_blocks``, so
+    ``blocks.load_system`` reads the manifest back: A_i are the diagonal
+    blocks, B_i the stored superdiagonal blocks (the transposed couplings)
+    and C_i the subdiagonal ones.  M_xi.mtx and M_p.mtx sit beside the
+    manifest.  Returns the manifest path.
     """
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    lines = ["n=3"]
-    for role, idx, name, attr in _BIOT_MANIFEST:
-        write_matrix_market(d / name, getattr(assembly, attr))
-        lines.append(f"{role} {idx} {name}")
-    manifest = d / "manifest.txt"
-    manifest.write_text("\n".join(lines) + "\n", encoding="ascii")
+    a = assembly
+    manifest = write_blocks(directory, (a.a_u, a.a_xi, a.a_p),
+                            (a.b_uxi_t, a.b_xip_t), (a.b_uxi, a.b_xip))
+    write_matrix_market(manifest.parent / "M_xi.mtx", a.m_xi)
+    write_matrix_market(manifest.parent / "M_p.mtx", a.m_p)
     return manifest
-

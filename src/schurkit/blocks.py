@@ -1,12 +1,12 @@
-"""Block-tridiagonal and arrowhead saddle point systems.
+"""Block-tridiagonal saddle point systems and the arrowhead view.
 
 Blocks are stored unsigned; assembly applies the alternating sign pattern
-(-1)**(i-1) to the diagonal of the tridiagonal form.  The three-block
-tridiagonal system is permutation-equivalent to an arrowhead system whose
-corner carries the (negated) middle block; ``permute_threeblock`` performs
-that reordering exactly.  ``schur_steps`` is the one copy of the nested
-Schur recursion: the exact preconditioners and the generation gate of
-``random_system`` both consume it.
+(-1)**(i-1) to the diagonal of the tridiagonal form.  A three-block
+system is permutation-equivalent to an arrowhead matrix whose corner
+carries the negated middle block; ``ArrowheadSystem`` reads that layout
+off the three-block system without copying it.  ``schur_steps`` is the
+one copy of the nested Schur recursion: the exact preconditioners and the
+generation gate of ``random_system`` both consume it.
 """
 
 from __future__ import annotations
@@ -135,58 +135,51 @@ def nested_chain(sys):
 
 @dataclass(frozen=True)
 class ArrowheadSystem:
-    """Block-diagonal leading part bordered by a dense last block row/column.
+    """Arrowhead view of a three-block system, with block 2 moved last.
 
-    Signs are explicit so that both the alternating domain-decomposition
-    layout and the permuted three-block layout (leading signs +,+ and
-    corner -A_2) fit one type.  Defaults follow the alternating layout:
-    leading sign (-1)**i, corner sign (-1)**m for m leading blocks.
+    The leading blocks are (A_1, A_3), the border rows (C_1, B_2^T), the
+    border columns (B_1^T, C_2) and the corner A_2, which assembles as
+    -A_2.  ``perm`` is the symmetric permutation that takes
+    assemble(system) to the arrowhead matrix.
     """
 
-    leading: tuple
-    border_rows: tuple
-    border_cols: tuple
-    corner: np.ndarray
-    leading_signs: tuple = None
-    corner_sign: int = None
+    system: BlockTridiagonalSystem
 
     def __post_init__(self):
-        object.__setattr__(self, "leading", tuple(_freeze(a) for a in self.leading))
-        object.__setattr__(self, "border_rows",
-                           tuple(_freeze(a) for a in self.border_rows))
-        object.__setattr__(self, "border_cols",
-                           tuple(_freeze(a) for a in self.border_cols))
-        object.__setattr__(self, "corner", _freeze(self.corner))
-        m = len(self.leading)
-        if m < 1:
-            raise ValueError("need at least one leading block")
-        if self.leading_signs is None:
-            object.__setattr__(self, "leading_signs",
-                               tuple((-1) ** i for i in range(m)))
-        if self.corner_sign is None:
-            object.__setattr__(self, "corner_sign", (-1) ** m)
-        if len(self.leading_signs) != m:
-            raise ValueError("leading_signs length mismatch")
-        if len(self.border_rows) != m or len(self.border_cols) != m:
-            raise ValueError("need one border row and column per leading block")
-        mc = self.corner.shape[0]
-        if self.corner.shape != (mc, mc):
-            raise ValueError("corner block must be square")
-        for i, a in enumerate(self.leading):
-            if a.shape[0] != a.shape[1]:
-                raise ValueError(f"leading block {i + 1} is not square")
-            if self.border_rows[i].shape != (mc, a.shape[0]):
-                raise ValueError(f"border row {i + 1} has wrong shape")
-            if self.border_cols[i].shape != (a.shape[0], mc):
-                raise ValueError(f"border column {i + 1} has wrong shape")
+        if self.system.n != 3:
+            raise ValueError(f"expected a three-block system, got n={self.system.n}")
+
+    @property
+    def leading(self):
+        return self.system.diag[0], self.system.diag[2]
+
+    @property
+    def border_rows(self):
+        return self.system.lower[0], self.system.upper[1]
+
+    @property
+    def border_cols(self):
+        return self.system.upper[0], self.system.lower[1]
+
+    @property
+    def corner(self):
+        return self.system.diag[1]
 
     @property
     def leading_sizes(self):
-        return tuple(a.shape[0] for a in self.leading)
+        m1, _, m3 = self.system.sizes
+        return m1, m3
 
     @property
-    def corner_size(self):
-        return self.corner.shape[0]
+    def sizes(self):
+        """(leading aggregate, corner): the two blocks the Q presets act on."""
+        m1, m2, m3 = self.system.sizes
+        return m1 + m3, m2
+
+    @property
+    def perm(self):
+        m1, m2, m3 = self.system.sizes
+        return np.r_[0:m1, m1 + m2:m1 + m2 + m3, m1:m1 + m2]
 
 
 @dataclass(frozen=True)
@@ -238,46 +231,17 @@ def assemble(sys):
     return m
 
 
-def assemble_arrowhead(sys):
-    """Monolithic dense matrix of an arrowhead system."""
-    sizes = sys.leading_sizes
-    mc = sys.corner_size
-    offs = np.concatenate(([0], np.cumsum(sizes)))
-    tot = offs[-1] + mc
-    m = np.zeros((tot, tot))
-    for i, a in enumerate(sys.leading):
-        s = offs[i]
-        m[s:s + sizes[i], s:s + sizes[i]] = sys.leading_signs[i] * a
-        m[offs[-1]:, s:s + sizes[i]] = sys.border_rows[i]
-        m[s:s + sizes[i], offs[-1]:] = sys.border_cols[i]
-    m[offs[-1]:, offs[-1]:] = sys.corner_sign * sys.corner
-    return m
+def assemble_arrowhead(arrow):
+    """Monolithic dense matrix of an arrowhead view: the permuted assembly."""
+    p = arrow.perm
+    return assemble(arrow.system)[p][:, p]
 
 
 def permute_threeblock(sys):
-    """Reorder a three-block tridiagonal system into arrowhead form.
-
-    Returns the arrowhead system (leading A1, A3 with plus signs, corner
-    -A2) and the symmetric permutation indices p such that
-    assemble(sys)[p][:, p] equals the assembled arrowhead exactly.
-    """
-    if sys.n != 3:
-        raise ValueError(f"expected a three-block system, got n={sys.n}")
-    m1, m2, m3 = sys.sizes
-    arrow = ArrowheadSystem(
-        leading=(sys.diag[0], sys.diag[2]),
-        border_rows=(sys.lower[0], sys.upper[1]),
-        border_cols=(sys.upper[0], sys.lower[1]),
-        corner=sys.diag[1],
-        leading_signs=(1, 1),
-        corner_sign=-1,
-    )
-    perm = np.concatenate([
-        np.arange(m1),
-        np.arange(m1 + m2, m1 + m2 + m3),
-        np.arange(m1, m1 + m2),
-    ])
-    return arrow, perm
+    """Arrowhead view of a three-block system and its permutation indices p,
+    with assemble(sys)[p][:, p] equal to assemble_arrowhead of the view."""
+    arrow = ArrowheadSystem(sys)
+    return arrow, arrow.perm
 
 
 def random_system(opts):
@@ -338,35 +302,33 @@ def _chain_ok(sys):
 
 
 def save_system(sys, directory):
+    """Write the blocks of a system through write_blocks; returns the manifest path."""
+    return write_blocks(directory, sys.diag, sys.upper, sys.lower)
+
+
+def write_blocks(directory, diag, upper, lower):
     """Write one Matrix Market file per block plus a plain-text manifest.
 
-    Manifest format: first line ``n=<count>``, then one line per block
-    ``<role> <index> <filename>`` with role A (diagonal), B (superdiagonal,
-    storing B_i^T as assembled) or C (subdiagonal).  Returns the manifest
-    path.
+    Blocks are dense arrays or CsrMatrix.  Manifest format: first line
+    ``n=<count>``, then one line per block ``<role> <index> <filename>``
+    with role A (diagonal), B (superdiagonal, storing B_i^T as assembled)
+    or C (subdiagonal).  Returns the manifest path.
     """
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    lines = [f"n={sys.n}"]
-    for i, a in enumerate(sys.diag, start=1):
-        name = f"A_{i}.mtx"
-        write_matrix_market(d / name, a)
-        lines.append(f"A {i} {name}")
-    for i, b in enumerate(sys.upper, start=1):
-        name = f"B_{i}.mtx"
-        write_matrix_market(d / name, b)
-        lines.append(f"B {i} {name}")
-    for i, c in enumerate(sys.lower, start=1):
-        name = f"C_{i}.mtx"
-        write_matrix_market(d / name, c)
-        lines.append(f"C {i} {name}")
+    lines = [f"n={len(diag)}"]
+    for role, mats in (("A", diag), ("B", upper), ("C", lower)):
+        for i, m in enumerate(mats, start=1):
+            name = f"{role}_{i}.mtx"
+            write_matrix_market(d / name, m)
+            lines.append(f"{role} {i} {name}")
     manifest = d / "manifest.txt"
     manifest.write_text("\n".join(lines) + "\n", encoding="ascii")
     return manifest
 
 
 def load_system(manifest_path):
-    """Read a manifest written by save_system back into a system."""
+    """Read a manifest written by write_blocks back into a dense system."""
     p = Path(manifest_path)
     text = p.read_text(encoding="ascii").splitlines()
     if not text:

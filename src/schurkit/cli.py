@@ -24,8 +24,6 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_IO = 4
 
-SPECTRUM_SIZE_GUARD = 2000
-
 
 def _parse_sizes(text):
     try:
@@ -177,8 +175,8 @@ def cmd_spectrum(args, parser):
     _check_sizes(presets, args.sizes, parser)
     for preset in presets:   # three-block presets ignore --n
         dim = sum(verify.hypothesis_options(preset, args.seed, args.sizes, args.n).sizes)
-        if dim > SPECTRUM_SIZE_GUARD:
-            print(f"size guard: {preset} has {dim} > {SPECTRUM_SIZE_GUARD} unknowns",
+        if dim > dense.DESK_SIZE_LIMIT:
+            print(f"size guard: {preset} has {dim} > {dense.DESK_SIZE_LIMIT} unknowns",
                   file=sys.stderr)
             return EXIT_GUARD
     lines = ["preset,re,im,root_re,root_im,distance"]

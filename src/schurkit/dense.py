@@ -16,8 +16,9 @@ import numpy as np
 # Singularity threshold: a matrix whose 1-norm condition number is not
 # below 1/PIVOT_RTOL counts as singular.
 PIVOT_RTOL = 1e-14
-# Hard cap on the eigensolver input size (desk scale).
-EIGEN_SIZE_LIMIT = 2000
+# Desk scale: the most unknowns a dense eigensolve, a dense P^{-1} A or a
+# `schurkit spectrum` run takes.
+DESK_SIZE_LIMIT = 2000
 
 
 class SingularMatrixError(ValueError):
@@ -115,8 +116,8 @@ def eigenvalues(a):
     """
     m = as_square(a)
     n = m.shape[0]
-    if n > EIGEN_SIZE_LIMIT:
-        raise ValueError(f"matrix size {n} exceeds desk-scale limit {EIGEN_SIZE_LIMIT}")
+    if n > DESK_SIZE_LIMIT:
+        raise ValueError(f"matrix size {n} exceeds desk-scale limit {DESK_SIZE_LIMIT}")
     try:
         w = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:

@@ -3,10 +3,11 @@
 Two Schur constructions: the nested chain S_1 = A_1,
 S_{i+1} = A_{i+1} + C_i S_i^{-1} B_i^T for block-tridiagonal systems
 (built in ``blocks``, which also gates random generation on it), and
-the additive complement S = A_c + sum_i C_i A_i^{-1} B_i^T for arrowhead
-systems.  Every named preconditioner is a sign pattern over these blocks:
-block-diagonal ones solve with delta_i * S_i, block-triangular ones add
-gamma_i * C_i subdiagonal coupling.  Presets are data, not code paths.
+the additive complement S = A_2 + C_1 A_1^{-1} B_1^T + B_2^T A_3^{-1} C_2
+of the arrowhead view of a three-block system.  Every named
+preconditioner is a sign pattern over these blocks: block-diagonal ones
+solve with delta_i * S_i, block-triangular ones add gamma_i * C_i
+subdiagonal coupling.  Presets are data, not code paths.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import numpy as np
 from . import dense
 from .blocks import (ArrowheadSystem, BlockTridiagonalSystem, SingularSchurError,
                      assemble, assemble_arrowhead, nested_chain)
-
-PRECOND_SIZE_LIMIT = 2000
 
 
 class SingularLeadingBlockError(ValueError):
@@ -52,20 +51,18 @@ class AdditiveSchur:
 
 
 def additive_schur(sys):
-    """Additive Schur complement of an arrowhead system.
+    """Additive Schur complement of an arrowhead view.
 
-    With the corner stored unsigned and assembled as corner_sign * corner,
-    the complement is S = -corner_sign*corner + sum_i C_i (s_i A_i)^{-1} B_i^T
-    over the signed leading blocks; for the permuted three-block layout
-    (corner -A_2) this is A_2 + C_1 A_1^{-1} B_1^T + B_2^T A_3^{-1} C_2.
+    S = A_2 + C_1 A_1^{-1} B_1^T + B_2^T A_3^{-1} C_2: the corner is
+    assembled as -A_2 and the leading blocks with plus signs.
     """
     factors = []
-    for i, (a, sg) in enumerate(zip(sys.leading, sys.leading_signs), start=1):
+    for i, a in enumerate(sys.leading, start=1):
         try:
-            factors.append(dense.lu_factor(sg * a))
+            factors.append(dense.lu_factor(a))
         except dense.SingularMatrixError as exc:
             raise SingularLeadingBlockError(i) from exc
-    s = -sys.corner_sign * np.array(sys.corner)
+    s = np.array(sys.corner)
     for f, row, col in zip(factors, sys.border_rows, sys.border_cols):
         s = s + row @ dense.lu_solve(f, col)
     try:
@@ -270,10 +267,9 @@ def make_preconditioner(name, system=None, *, sizes=None, solves=None,
         if not isinstance(system, ArrowheadSystem):
             raise TypeError(f"{name} needs an arrowhead system")
         schur = additive_schur(system)
-        lead_sizes = system.leading_sizes
-        sizes = (sum(lead_sizes), system.corner_size)
+        sizes = system.sizes
         solves = (
-            _blockdiag_solver(schur.leading_factors, lead_sizes),
+            _blockdiag_solver(schur.leading_factors, system.leading_sizes),
             _lu_solver(schur.factor),
         )
         sub_matvecs = (_matvec(np.hstack(system.border_rows)),)
@@ -304,8 +300,8 @@ def preconditioned_matrix(p, system):
     else:
         a = dense.as_square(system)
     n = a.shape[0]
-    if n > PRECOND_SIZE_LIMIT:
-        raise ValueError(f"size {n} exceeds desk-scale limit {PRECOND_SIZE_LIMIT}")
+    if n > dense.DESK_SIZE_LIMIT:
+        raise ValueError(f"size {n} exceeds desk-scale limit {dense.DESK_SIZE_LIMIT}")
     if n != p.dim:
         raise ValueError(f"operator size {n} does not match preconditioner {p.dim}")
     return p.apply(a)

@@ -145,7 +145,7 @@ def annihilation_residual(t, factors):
         scale *= (1.0 + tnorm) ** (len(c) - 1)
     if r is None:
         raise ValueError("need at least one polynomial factor")
-    return np.linalg.norm(r) / scale
+    return float(np.linalg.norm(r) / scale)
 
 
 @dataclass
@@ -302,7 +302,7 @@ def build_preconditioned(preset, seed, sizes, n=None):
     """Generate a hypothesis system and form the preset's exact P^{-1} A.
 
     Returns (T, system, operator-matrix) where for the additive presets
-    the system is the permuted arrowhead and the operator its assembly.
+    the system is the arrowhead view and the operator its assembly.
     """
     opts = hypothesis_options(preset, seed, sizes, n=n)
     sys3 = random_system(opts)
@@ -376,7 +376,7 @@ def verify_ldu(seed, sizes, n_range=range(2, 9)):
         sys_n = random_system(opts)
         a = assemble(sys_n)
         l, d, u = pc.build_ldu(sys_n)
-        err = np.linalg.norm(l @ d @ u - a) / np.linalg.norm(a)
+        err = float(np.linalg.norm(l @ d @ u - a) / np.linalg.norm(a))
         rows.append(PresetCheck(kind="ldu", name=f"n={n}", seed=seed,
                                 residual=err, min_real_part=math.inf,
                                 max_membership_distance=0.0,
@@ -405,14 +405,18 @@ def verify_routh(k_max=12):
 def run_suite(seed, sizes, presets=None, n_sweep=None):
     """Full verification sweep; returns PresetCheck rows.
 
-    An n sweep adds rows for every n-block family (Mn included) at each
-    n = 2..n_sweep, so n_sweep must be at least 2.
+    presets=None runs DEFAULT_VERIFY_PRESETS; an empty selection is an
+    error.  An n sweep adds rows for every n-block family (Mn included) at
+    each n = 2..n_sweep, so n_sweep must be at least 2.
     """
     if n_sweep is not None and n_sweep < 2:
         raise ValueError(f"n_sweep must be at least 2, got {n_sweep}")
+    if presets is None:
+        presets = DEFAULT_VERIFY_PRESETS + (("Mn",) if n_sweep else ())
+    elif not presets:
+        raise ValueError("empty preset selection")
     rows = []
-    names = presets or DEFAULT_VERIFY_PRESETS + (("Mn",) if n_sweep else ())
-    for preset in names:
+    for preset in presets:
         sweep = n_sweep and preset in pc.N_BLOCK_PRESETS
         for nn in (range(2, n_sweep + 1) if sweep else (3,)):
             rows.append(verify_preset(preset, seed, sizes, n=nn))

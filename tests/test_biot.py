@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schurkit import biot
+from schurkit import biot, blocks, precond, verify
 from schurkit.krylov import gmres
 from schurkit.sparse import IcFactor, read_matrix_market, spmv
 
@@ -292,13 +292,42 @@ class TestBenchmark:
 class TestExport:
     def test_round_trip(self, asm4, tmp_path):
         manifest = biot.export_blocks(asm4, tmp_path / "blocks")
+        source = {"A_1.mtx": "a_u", "A_2.mtx": "a_xi", "A_3.mtx": "a_p",
+                  "B_1.mtx": "b_uxi_t", "B_2.mtx": "b_xip_t",
+                  "C_1.mtx": "b_uxi", "C_2.mtx": "b_xip",
+                  "M_xi.mtx": "m_xi", "M_p.mtx": "m_p"}
         files = sorted(p.name for p in (tmp_path / "blocks").iterdir())
-        assert len(files) == 8  # 5 blocks + 2 masses + manifest
+        assert files == sorted([*source, "manifest.txt"])
         assert manifest.read_text().splitlines() == ["n=3"] + [
-            f"{role} {idx} {name}" for role, idx, name, _ in biot._BIOT_MANIFEST]
-        for _, _, name, attr in biot._BIOT_MANIFEST:
+            f"{name[0]} {name[2]} {name}" for name in source if name[0] != "M"]
+        for name, attr in source.items():
             got = read_matrix_market(manifest.parent / name)
             want = getattr(asm4, attr)
             assert got.shape == want.shape, attr
             for arr in ("row_offsets", "col_indices", "values"):
                 assert np.array_equal(getattr(got, arr), getattr(want, arr)), attr
+
+
+class TestPaperTheory:
+    """The exact presets on the benchmark's own blocks, read back from export."""
+
+    @pytest.fixture(scope="class")
+    def sys4(self, asm4, tmp_path_factory):
+        manifest = biot.export_blocks(asm4, tmp_path_factory.mktemp("biot4"))
+        return blocks.load_system(manifest)
+
+    def test_export_assembles_to_operator(self, asm4, sys4):
+        op = biot.biot_operator(asm4)
+        cols = np.column_stack([op.matvec(e) for e in np.eye(op.dim)])
+        assert sys4.sizes == asm4.sizes
+        assert np.array_equal(blocks.assemble(sys4), cols)
+
+    @pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4", "Q1", "Q2"])
+    def test_exact_preset_annihilates(self, sys4, name):
+        system = sys4
+        if name in precond.ADDITIVE_PRESETS:
+            system, _ = blocks.permute_threeblock(sys4)
+        t = precond.preconditioned_matrix(
+            precond.make_preconditioner(name, system), system)
+        factors = verify.predicted_polynomial(name)
+        assert verify.annihilation_residual(t, factors) <= verify.ANNIHILATION_TOL

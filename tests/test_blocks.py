@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,16 @@ class TestPermuteThreeblock:
         inv[perm] = np.arange(perm.size)
         assert np.array_equal(m[inv][:, inv], blocks.assemble(sys3))
 
+    def test_view_reads_the_three_block_system(self):
+        sys3 = blocks.random_system(blocks.SystemOptions(seed=25, sizes=(2, 3, 4)))
+        arrow, perm = blocks.permute_threeblock(sys3)
+        assert [f.name for f in dataclasses.fields(arrow)] == ["system"]
+        assert arrow.system is sys3
+        assert arrow.leading[0] is sys3.diag[0] and arrow.leading[1] is sys3.diag[2]
+        assert arrow.corner is sys3.diag[1]
+        assert arrow.leading_sizes == (2, 4) and arrow.sizes == (6, 3)
+        assert np.array_equal(perm, arrow.perm)
+
     def test_wrong_block_count(self):
         opts = blocks.SystemOptions(seed=1, sizes=(2, 2))
         with pytest.raises(ValueError):
@@ -89,46 +101,40 @@ class TestPermuteThreeblock:
 
 
 class TestAssembleArrowhead:
-    def test_single_leading_block(self):
-        arrow = blocks.ArrowheadSystem(
-            leading=([[1.0]],), border_rows=([[1.0]],), border_cols=([[1.0]],),
-            corner=[[1.0]])
-        # default corner sign for one leading block is -1
-        assert np.array_equal(blocks.assemble_arrowhead(arrow),
-                              [[1.0, 1.0], [1.0, -1.0]])
-
     def test_two_leading_identity_blocks(self):
-        arrow = blocks.ArrowheadSystem(
-            leading=([[1.0]], [[1.0]]),
-            border_rows=([[1.0]], [[1.0]]), border_cols=([[1.0]], [[1.0]]),
-            corner=[[0.0]], leading_signs=(1, 1), corner_sign=-1)
-        m = blocks.assemble_arrowhead(arrow)
+        sys3 = blocks.BlockTridiagonalSystem(
+            diag=([[1.0]], [[0.0]], [[1.0]]),
+            upper=([[1.0]], [[1.0]]), lower=([[1.0]], [[1.0]]))
+        m = blocks.assemble_arrowhead(blocks.ArrowheadSystem(sys3))
         assert m[0, 1] == 0.0 and m[1, 0] == 0.0
         assert np.array_equal(m, [[1, 0, 1], [0, 1, 1], [1, 1, 0]])
 
     def test_matches_index_oracle(self):
         rng = np.random.default_rng(24)
-        leading = tuple(rng.uniform(-1, 1, (s, s)) for s in (3, 2, 4))
-        rows = tuple(rng.uniform(-1, 1, (2, s)) for s in (3, 2, 4))
-        cols = tuple(rng.uniform(-1, 1, (s, 2)) for s in (3, 2, 4))
-        corner = rng.uniform(-1, 1, (2, 2))
-        arrow = blocks.ArrowheadSystem(leading=leading, border_rows=rows,
-                                       border_cols=cols, corner=corner)
-        m = blocks.assemble_arrowhead(arrow)
-        starts = [0, 3, 5]
-        expect = np.zeros((11, 11))
-        for i, (sgn, s) in enumerate(zip((1, -1, 1), (3, 2, 4))):
-            for r in range(s):
-                for c in range(s):
-                    expect[starts[i] + r][starts[i] + c] = sgn * leading[i][r, c]
-            for r in range(2):
-                for c in range(s):
-                    expect[9 + r][starts[i] + c] = rows[i][r, c]
-                    expect[starts[i] + c][9 + r] = cols[i][c, r]
-        # default corner sign for three leading blocks is (-1)**3
-        for r in range(2):
-            for c in range(2):
-                expect[9 + r][9 + c] = -corner[r, c]
+        m1, m2, m3 = 3, 2, 4
+        sys3 = blocks.BlockTridiagonalSystem(
+            diag=tuple(rng.uniform(-1, 1, (s, s)) for s in (m1, m2, m3)),
+            upper=(rng.uniform(-1, 1, (m1, m2)), rng.uniform(-1, 1, (m2, m3))),
+            lower=(rng.uniform(-1, 1, (m2, m1)), rng.uniform(-1, 1, (m3, m2))))
+        m = blocks.assemble_arrowhead(blocks.ArrowheadSystem(sys3))
+        # leading A1, A3 with plus signs, corner -A2, borders (C1, B2^T)
+        # below and (B1^T, C2) to the right
+        a1, a2, a3 = sys3.diag
+        leading = ((0, a1, sys3.lower[0], sys3.upper[0]),
+                   (m1, a3, sys3.upper[1], sys3.lower[1]))
+        c0 = m1 + m3
+        expect = np.zeros((9, 9))
+        for start, a, row, col in leading:
+            for r in range(a.shape[0]):
+                for c in range(a.shape[0]):
+                    expect[start + r][start + c] = a[r, c]
+            for r in range(m2):
+                for c in range(a.shape[0]):
+                    expect[c0 + r][start + c] = row[r, c]
+                    expect[start + c][c0 + r] = col[c, r]
+        for r in range(m2):
+            for c in range(m2):
+                expect[c0 + r][c0 + c] = -a2[r, c]
         assert np.array_equal(m, expect)
 
 

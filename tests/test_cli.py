@@ -75,7 +75,19 @@ class TestVerifyCommand:
         assert run(["verify", "--n", "8", "--sizes", "9,7,5", "--seed", "0"]) == 0
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == (
-            "ed1ad9776719c7665cc5fd722d32e1a151b139a630af0e52553fb8207638f54f")
+            "d777d0c504bf5a9468a8c60ae556d8e41026b177c31006fd230995330ef1535a")
+
+    def test_numeric_fields_parse_as_floats(self, capsys):
+        assert run(["verify", "--n", "8", "--sizes", "9,7,5", "--seed", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split(",")[2:6] == [
+            "seed", "residual", "min_real_part", "max_membership_distance"]
+        assert len(lines) == 53
+        for line in lines[1:]:
+            fields = line.split(",")
+            for text in fields[2:6]:
+                if text:   # LDU and Routh rows leave min_real_part empty
+                    float(text)
 
     def test_byte_identical_across_blas_threads(self):
         src = str(Path(schurkit.__file__).resolve().parent.parent)
@@ -240,7 +252,7 @@ class TestExportCommand:
         code = run(["export", "--biot-N", "4", "--out", str(out)])
         assert code == 0
         files = sorted(p.name for p in out.iterdir())
-        assert len(files) == 8
+        assert len(files) == 10   # 7 system blocks, 2 mass matrices
         assert "manifest.txt" in files
 
     def test_unwritable_target_is_io_error(self, tmp_path):

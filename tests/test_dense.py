@@ -167,7 +167,7 @@ class TestEigenvalues:
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
-            dense.eigenvalues(np.eye(dense.EIGEN_SIZE_LIMIT + 1))
+            dense.eigenvalues(np.eye(dense.DESK_SIZE_LIMIT + 1))
 
     def test_lapack_failure_raises_convergence_error(self, monkeypatch):
         def fail(a):

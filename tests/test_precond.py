@@ -63,18 +63,18 @@ class TestNestedChain:
 
 class TestAdditiveSchur:
     def test_scalar_sum(self):
-        arrow = blocks.ArrowheadSystem(
-            leading=([[1.0]], [[1.0]]),
-            border_rows=([[1.0]], [[1.0]]), border_cols=([[1.0]], [[1.0]]),
-            corner=[[0.0]], leading_signs=(1, 1), corner_sign=-1)
+        sys3 = blocks.BlockTridiagonalSystem(
+            diag=([[1.0]], [[0.0]], [[1.0]]),
+            upper=([[1.0]], [[1.0]]), lower=([[1.0]], [[1.0]]))
+        arrow = blocks.ArrowheadSystem(sys3)
         assert precond.additive_schur(arrow).schur.item() == 2.0
 
     def test_zero_borders_returns_corner(self):
         eye = np.eye(2)
         z = np.zeros((2, 2))
-        arrow = blocks.ArrowheadSystem(
-            leading=(eye, eye), border_rows=(z, z), border_cols=(z, z),
-            corner=eye, leading_signs=(1, 1), corner_sign=-1)
+        sys3 = blocks.BlockTridiagonalSystem(
+            diag=(eye, eye, eye), upper=(z, z), lower=(z, z))
+        arrow = blocks.ArrowheadSystem(sys3)
         assert np.array_equal(precond.additive_schur(arrow).schur, eye)
 
     def test_against_dense_inverse_oracle(self):
@@ -88,12 +88,14 @@ class TestAdditiveSchur:
         assert np.abs(ad.schur - oracle).max() < 1e-12
 
     def test_singular_leading_block(self):
-        arrow = blocks.ArrowheadSystem(
-            leading=([[0.0]],), border_rows=([[1.0]],), border_cols=([[1.0]],),
-            corner=[[1.0]])
-        with pytest.raises(precond.SingularLeadingBlockError) as exc:
-            precond.additive_schur(arrow)
-        assert exc.value.index == 1
+        # A_1 is leading block 1 and A_3 leading block 2
+        for diag, index in ((([[0.0]], [[1.0]], [[1.0]]), 1),
+                            (([[1.0]], [[1.0]], [[0.0]]), 2)):
+            sys3 = blocks.BlockTridiagonalSystem(
+                diag=diag, upper=([[1.0]], [[1.0]]), lower=([[1.0]], [[1.0]]))
+            with pytest.raises(precond.SingularLeadingBlockError) as exc:
+                precond.additive_schur(blocks.ArrowheadSystem(sys3))
+            assert exc.value.index == index
 
 
 class TestMakePreconditioner:
@@ -111,15 +113,11 @@ class TestMakePreconditioner:
         assert p.apply(np.array([8.0])) == pytest.approx([2.0])
 
     def test_qd1_zero_borders_is_blockdiag_solve(self):
-        a = np.diag([2.0, 4.0])
-        corner = np.diag([8.0])
-        z12 = np.zeros((1, 2))
-        z21 = np.zeros((2, 1))
-        arrow = blocks.ArrowheadSystem(
-            leading=(a,), border_rows=(z12,), border_cols=(z21,),
-            corner=corner, leading_signs=(1,), corner_sign=-1)
-        p = precond.make_preconditioner("QD1", arrow)
-        # S = -corner_sign*corner = +8; QD1 solves diag(A, S)
+        z = np.zeros((1, 1))
+        sys3 = blocks.BlockTridiagonalSystem(
+            diag=([[2.0]], [[8.0]], [[4.0]]), upper=(z, z), lower=(z, z))
+        p = precond.make_preconditioner("QD1", blocks.ArrowheadSystem(sys3))
+        # S = A_2 = 8; QD1 solves diag(A_1, A_3, S) in the order (x1, x3, x2)
         y = p.apply(np.array([2.0, 4.0, 8.0]))
         assert np.allclose(y, [1.0, 1.0, 1.0], atol=1e-15)
 
@@ -191,9 +189,9 @@ class TestApply:
         got = p.apply(v)
         assert np.abs(got - oracle).max() <= 1e-11 * max(1.0, np.abs(oracle).max())
 
-    @pytest.mark.parametrize("name,corner_sign", [
+    @pytest.mark.parametrize("name,schur_sign", [
         ("Q1", -1), ("Q2", 1), ("QD1", 1), ("QD2", -1)])
-    def test_additive_apply_matches_dense_inverse(self, name, corner_sign):
+    def test_additive_apply_matches_dense_inverse(self, name, schur_sign):
         opts = blocks.SystemOptions(seed=49, sizes=(4, 3, 2))
         s = blocks.random_system(opts)
         arrow, _ = blocks.permute_threeblock(s)
@@ -203,7 +201,7 @@ class TestApply:
         pm = np.zeros((9, 9))
         pm[:4, :4] = arrow.leading[0]
         pm[4:na, 4:na] = arrow.leading[1]
-        pm[na:, na:] = corner_sign * ad.schur
+        pm[na:, na:] = schur_sign * ad.schur
         if name in ("Q1", "Q2"):
             pm[na:, :4] = arrow.border_rows[0]
             pm[na:, 4:na] = arrow.border_rows[1]
@@ -276,10 +274,10 @@ class TestPreconditionedMatrix:
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_size_guard(self):
-        p = precond.IdentityPreconditioner(precond.PRECOND_SIZE_LIMIT + 1)
+        p = precond.IdentityPreconditioner(dense.DESK_SIZE_LIMIT + 1)
         with pytest.raises(ValueError):
             precond.preconditioned_matrix(
-                p, np.eye(precond.PRECOND_SIZE_LIMIT + 1))
+                p, np.eye(dense.DESK_SIZE_LIMIT + 1))
 
 
 class TestLdu:

@@ -383,6 +383,10 @@ class TestSuite:
         with pytest.raises(ValueError, match="n_sweep must be at least 2"):
             verify.run_suite(0, (9, 7, 5), n_sweep=n_sweep)
 
+    def test_empty_preset_selection_rejected(self):
+        with pytest.raises(ValueError, match="empty preset selection"):
+            verify.run_suite(0, (9, 7, 5), presets=())
+
     def test_report_csv_shape(self):
         rows = verify.run_suite(7, (4, 3, 2))
         lines = verify.report_csv_rows(rows)
