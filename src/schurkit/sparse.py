@@ -5,6 +5,8 @@ zeros dropped), matvec, drop-tolerance incomplete Cholesky with a diagonal
 shift safety net, triangular solves by block substitution over inverted
 diagonal blocks, and Matrix Market IO.
 All kernels are sequential / deterministic.
+An IcFactor holds L, L^T, the inverses of L's diagonal blocks and, per
+sweep, the list of blocks with views into those arrays that the solve runs.
 
 The incomplete Cholesky builds one column of L per step with a fixed
 number of numpy calls.  The updates of all earlier columns go into the
@@ -76,7 +78,7 @@ class CsrMatrix:
             inner = np.diff(self.col_indices)
             starts = np.zeros(nnz, dtype=bool)
             starts[ro[:-1][ro[:-1] < nnz]] = True
-            if (inner[~starts[1:]] <= 0).any():
+            if ((inner <= 0) & ~starts[1:]).any():
                 raise ValueError("column indices must be strictly increasing per row")
 
     @property
@@ -155,18 +157,20 @@ def spmv(a, x):
         raise ValueError(f"vector length {x.shape} does not match cols={a.cols}")
     y = np.zeros(a.rows)
     nonempty = np.diff(a.row_offsets) > 0
-    y[nonempty] = np.add.reduceat(a.values * x[a.col_indices], a.row_offsets[:-1][nonempty])
+    # CsrMatrix range-checked the columns, so "clip" never clips
+    prod = x.take(a.col_indices, mode="clip")
+    np.multiply(a.values, prod, out=prod)
+    y[nonempty] = np.add.reduceat(prod, a.row_offsets[:-1][nonempty])
     return y
 
 
 def csr_transpose(a):
-    order = np.lexsort((a._row_index(), a.col_indices))
-    new_rows = a.col_indices[order]
-    new_cols = a._row_index()[order]
-    new_vals = a.values[order]
+    """A^T.  The entries are stored row by row, so a stable sort by column
+    keeps the rows of each column ascending."""
+    order = np.argsort(a.col_indices, kind="stable")
     offsets = np.zeros(a.cols + 1, dtype=np.int64)
-    np.add.at(offsets, new_rows + 1, 1)
-    return CsrMatrix(a.cols, a.rows, np.cumsum(offsets), new_cols, new_vals)
+    np.cumsum(np.bincount(a.col_indices, minlength=a.cols), out=offsets[1:])
+    return CsrMatrix(a.cols, a.rows, offsets, a._row_index()[order], a.values[order])
 
 
 def csr_scale(a, s):
@@ -275,8 +279,8 @@ def _ict_columns(n, ro, ci, vv, shifted_diag, tau, sqrt_diag):
         e = s + 1 + rows_j.size
         if e > cap:
             cap = 2 * e
-            rows_l = np.resize(rows_l, cap)
-            vals_l = np.resize(vals_l, cap)
+            rows_l.resize(cap)
+            vals_l.resize(cap)
         rows_l[s] = j
         vals_l[s] = ljj
         rows_l[s + 1:e] = rows_j
@@ -291,7 +295,9 @@ def _ict_columns(n, ro, ci, vv, shifted_diag, tau, sqrt_diag):
         ptr[j] = s + 1
         nextrow[j] = rows_l[s + 1] if e > s + 1 else -1
         step[j] = j * (n + 1) + n
-    return CsrMatrix(n, n, offsets, rows_l[:offsets[n]].copy(), vals_l[:offsets[n]].copy())
+    rows_l.resize(offsets[n])
+    vals_l.resize(offsets[n])
+    return CsrMatrix(n, n, offsets, rows_l, vals_l)
 
 
 # Rows per diagonal block of the triangular solves.  A sweep makes a few
@@ -301,9 +307,12 @@ def _ict_columns(n, ro, ci, vv, shifted_diag, tau, sqrt_diag):
 # N=40 tau=1e-3 9.0/6.6/5.8/9.1 ms, N=64 tau=1e-3 34/20/18/23 ms,
 # N=64 tau=1e-4 44/38/40/40 ms.  128 is fastest or within 5% of it.
 _BLOCK = 128
-# diagonal blocks inverted per batch, so that the transient dense stack
-# and its inverse (2 MB each) do not raise the peak memory of a large factor
-_INVERT_BATCH = 16
+# Diagonal blocks inverted per batch.  A batch's transients are its row
+# index and masks over the batch's entries of L, plus the dense stack and its
+# inverse (0.5 MB each at 4 blocks).  For the Biot displacement factor at
+# N=32, tau=1e-4 (879k entries, 64 blocks), they peak at 3.2/6.3/12.1 MB on
+# top of the 8.4 MB result for 4/8/16 blocks per batch, in 52/60/61 ms.
+_INVERT_BATCH = 4
 
 
 def _diagonal_block_inverses(lower):
@@ -318,13 +327,14 @@ def _diagonal_block_inverses(lower):
     n, k = lower.rows, _BLOCK
     nblocks = -(-n // k)
     ro, ci, vv = lower.row_offsets, lower.col_indices, lower.values
-    rows = lower._row_index()
     pad = np.arange(n, nblocks * k) % k
     out = np.empty((nblocks, k, k))
     for b0 in range(0, nblocks, _INVERT_BATCH):
         b1 = min(b0 + _INVERT_BATCH, nblocks)
-        s, e = ro[b0 * k], ro[min(b1 * k, n)]
-        r, c = rows[s:e], ci[s:e]
+        r0, r1 = b0 * k, min(b1 * k, n)
+        s, e = ro[r0], ro[r1]
+        r = np.repeat(np.arange(r0, r1), np.diff(ro[r0:r1 + 1]))
+        c = ci[s:e]
         inside = c >= r - r % k
         r, c = r[inside], c[inside]
         dense = np.zeros((b1 - b0, k, k))
@@ -335,25 +345,42 @@ def _diagonal_block_inverses(lower):
     return out
 
 
-def _block_solve(tri, inverses, b, backward):
-    """Solve with triangular CSR tri, one block of k rows at a time.
+def _sweep_plan(tri, inverses, backward):
+    """The blocks of one sweep, in the order it visits them.
 
-    Forward (tri = L) the blocks go first to last, backward (tri = L^T)
-    last to first with the transposed inverses.  x starts at zero, so the
-    entries of a block's own columns, its diagonal included, add nothing
-    to the row sums of its slice; every row holds its diagonal, so no
-    reduceat segment is empty.
+    Each block is (r0, r1, values, columns, row starts, inverse): its rows
+    r0:r1, views of its entries in tri, the offsets of its rows within
+    those entries, and the inverse of its diagonal block, transposed for
+    the backward sweep over tri = L^T.
     """
     n, k = tri.rows, _BLOCK
     ro, ci, vv = tri.row_offsets, tri.col_indices, tri.values
-    x = np.zeros(n)
-    nblocks = len(inverses)
-    for i in (range(nblocks - 1, -1, -1) if backward else range(nblocks)):
+    plan = []
+    for i in range(len(inverses)):
         r0, r1 = i * k, min(i * k + k, n)
         s, e = ro[r0], ro[r1]
-        sums = np.add.reduceat(vv[s:e] * x[ci[s:e]], ro[r0:r1] - s)
         inv = inverses[i, :r1 - r0, :r1 - r0]
-        x[r0:r1] = (inv.T if backward else inv) @ (b[r0:r1] - sums)
+        plan.append((r0, r1, vv[s:e], ci[s:e], ro[r0:r1] - s, inv.T if backward else inv))
+    return plan[::-1] if backward else plan
+
+
+def _block_solve(plan, b):
+    """Solve with a triangular factor, one block of k rows at a time.
+
+    x starts at zero, so the entries of a block's own columns, its
+    diagonal included, add nothing to the row sums of its slice; every
+    row holds its diagonal, so no reduceat segment is empty.
+    """
+    x = np.zeros(b.size)
+    buf = np.empty(max((cols.size for _, _, _, cols, _, _ in plan), default=0))
+    for r0, r1, vals, cols, starts, inv in plan:
+        # CsrMatrix range-checked the columns, so "clip" never clips; with
+        # it take writes into buf instead of into a copy it would discard
+        prod = x.take(cols, out=buf[:cols.size], mode="clip")
+        np.multiply(vals, prod, out=prod)
+        sums = np.add.reduceat(prod, starts)
+        np.subtract(b[r0:r1], sums, out=sums)
+        np.matmul(inv, sums, out=x[r0:r1])
     return x
 
 
@@ -366,11 +393,16 @@ class IcFactor:
     tau: float
     _upper: CsrMatrix = field(default=None, repr=False)   # L^T; built if not given
     _inverses: np.ndarray = field(init=False, repr=False)
+    # blocks of the forward (L) and backward (L^T) sweeps, see _sweep_plan
+    _lower_plan: list = field(init=False, repr=False)
+    _upper_plan: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if self._upper is None:
             self._upper = csr_transpose(self.lower)
         self._inverses = _diagonal_block_inverses(self.lower)
+        self._lower_plan = _sweep_plan(self.lower, self._inverses, backward=False)
+        self._upper_plan = _sweep_plan(self._upper, self._inverses, backward=True)
 
     @property
     def n(self):
@@ -390,15 +422,15 @@ def ichol(a, tau):
     if tau < 0:
         raise ValueError("drop tolerance must be >= 0")
     at = csr_transpose(a)
-    diff = csr_add(a, csr_scale(at, -1.0))
-    amax = float(np.abs(a.values).max()) if a.nnz else 0.0
-    dmax = float(np.abs(diff.values).max()) if diff.nnz else 0.0
+    amax = float(np.abs(a.values).max(initial=0.0))
+    dmax = float(np.abs(csr_add(a, csr_scale(at, -1.0)).values).max(initial=0.0))
     if dmax > SYMMETRY_RTOL * amax:
         raise NotSymmetricError(
             f"asymmetry {dmax:.3e} exceeds {SYMMETRY_RTOL:.0e} * max|A| = "
             f"{SYMMETRY_RTOL * amax:.3e}"
         )
     sym = csr_scale(csr_add(a, at), 0.5)
+    del at   # with A - A^T, freed before the factorization starts
     diag = sym.diagonal()
     if (diag <= 0).any():
         raise ValueError("diagonal must be strictly positive")
@@ -423,8 +455,7 @@ def ic_solve(f, b):
     b = np.asarray(b, dtype=float)
     if b.shape != (f.n,):
         raise ValueError(f"vector length {b.shape} does not match n={f.n}")
-    y = _block_solve(f.lower, f._inverses, b, backward=False)
-    return _block_solve(f._upper, f._inverses, y, backward=True)
+    return _block_solve(f._upper_plan, _block_solve(f._lower_plan, b))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,12 +39,58 @@ def csr_equal(a, b):
             and np.array_equal(a.values, b.values))
 
 
+def sha256_of(*arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
 def random_csr(rng, rows, cols, density=0.3, empty_rows=()):
     d = rng.uniform(-1.0, 1.0, (rows, cols))
     d[rng.uniform(0, 1, (rows, cols)) > density] = 0.0
     d[list(empty_rows)] = 0.0
     tr = [(i, j, d[i, j]) for i in range(rows) for j in range(cols) if d[i, j]]
     return sparse.csr_from_triplets(rows, cols, tr), d
+
+
+class TestCsrInvariants:
+    """One case per ValueError that CsrMatrix.__init__ raises."""
+
+    def test_row_offsets_length(self):
+        with pytest.raises(ValueError, match="length rows\\+1"):
+            sparse.CsrMatrix(2, 2, [0, 1], [0], [1.0])
+
+    @pytest.mark.parametrize("offsets", [[0, 2, 1], [1, 1, 2]],
+                             ids=["decreasing", "nonzero_start"])
+    def test_row_offsets_monotone(self, offsets):
+        with pytest.raises(ValueError, match="monotone starting at 0"):
+            sparse.CsrMatrix(2, 2, offsets, [0, 1], [1.0, 1.0])
+
+    def test_nnz_mismatch(self):
+        with pytest.raises(ValueError, match="length must equal nnz"):
+            sparse.CsrMatrix(2, 2, [0, 1, 2], [0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("col", [-1, 2], ids=["below_0", "at_cols"])
+    def test_column_out_of_range(self, col):
+        with pytest.raises(ValueError, match="column index out of range"):
+            sparse.CsrMatrix(2, 2, [0, 1, 2], [0, col], [1.0, 1.0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value(self, value):
+        with pytest.raises(ValueError, match="values must be finite"):
+            sparse.CsrMatrix(2, 2, [0, 1, 2], [0, 1], [1.0, value])
+
+    # rows 0 and 2 hold two entries each, row 1 is empty
+    @pytest.mark.parametrize("cols", [[1, 1, 0, 1], [0, 1, 1, 0]],
+                             ids=["repeated", "decreasing"])
+    def test_columns_strictly_increasing(self, cols):
+        with pytest.raises(ValueError, match="strictly increasing per row"):
+            sparse.CsrMatrix(3, 3, [0, 2, 2, 4], cols, np.ones(4))
+
+    def test_columns_may_decrease_across_an_empty_row(self):
+        a = sparse.CsrMatrix(3, 3, [0, 2, 2, 4], [1, 2, 0, 1], np.ones(4))
+        assert a.nnz == 4
 
 
 class TestTriplets:
@@ -118,6 +165,22 @@ class TestSpmv:
         with pytest.raises(ValueError):
             sparse.spmv(csr_identity(3), np.ones(4))
 
+    # sha256 of y = A x on the N=8 Biot blocks, recorded before spmv
+    # gathered x with take
+    @pytest.mark.parametrize("block, digest", [
+        ("a_u", "d2280659a852f56cc324acaeee9730aab0380b2407bae746a602ae63ec7ddbb2"),
+        ("b_uxi", "fd88b3bdcf1c7f0b25acc7dd68e0f2059a7c4e5bb321ed856bc75cb5fa21b76c"),
+        ("b_uxi_t", "3157b9d8c96b984e6ec5bb4c9d8d4a5d37446c7730f5ce0740cd9bad5f10119d"),
+        ("a_xi", "65e20023ab3dbdf460ab9c859e63468c31e0130c462cbd09bce40874c4583ac5"),
+        ("b_xip", "f996b5519d6cfbb5b158a87877d8e0a15d5305de0986e1e2f8be2826c1cac780"),
+        ("b_xip_t", "90b6d5877850e9b4c1fcb7a622a1b3c4d0824ab6d30eca7ec24b7e32b574ac55"),
+        ("a_p", "897137fb1f85140faa734b067a4e9e5f1a7b6e96aab486c5b3045ee681635ba6"),
+    ])
+    def test_biot_blocks_bitwise(self, block, digest, biot8):
+        a = getattr(biot8, block)
+        x = np.random.default_rng(20).uniform(-1.0, 1.0, a.cols)
+        assert sha256_of(sparse.spmv(a, x)) == digest
+
 
 class TestTranspose:
     def test_round_trip(self):
@@ -128,6 +191,31 @@ class TestTranspose:
             assert at.shape == d.T.shape
             assert np.array_equal(at.to_dense(), d.T)
             assert csr_equal(sparse.csr_transpose(at), a)
+
+    @staticmethod
+    def lexsort_transpose(a):
+        """A^T by a two-key lexsort of the (row, column) pairs."""
+        rows = np.repeat(np.arange(a.rows), np.diff(a.row_offsets))
+        order = np.lexsort((rows, a.col_indices))
+        offsets = np.zeros(a.cols + 1, dtype=np.int64)
+        np.add.at(offsets, a.col_indices + 1, 1)
+        return sparse.CsrMatrix(a.cols, a.rows, np.cumsum(offsets),
+                                rows[order], a.values[order])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_lexsort_oracle(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        rows, cols = (int(v) for v in rng.integers(1, 40, 2))
+        a, d = random_csr(rng, rows, cols, empty_rows=rng.choice(rows, rows // 4))
+        # empty columns too: zero a quarter of them and rebuild
+        d[:, rng.choice(cols, cols // 4)] = 0.0
+        ii, jj = np.nonzero(d)
+        a = sparse.csr_from_triplets(rows, cols, (ii, jj, d[ii, jj]))
+        assert csr_equal(sparse.csr_transpose(a), self.lexsort_transpose(a))
+
+    def test_no_entries_matches_lexsort_oracle(self):
+        a = sparse.csr_from_triplets(5, 3, [])
+        assert csr_equal(sparse.csr_transpose(a), self.lexsort_transpose(a))
 
 
 class TestIchol:
@@ -223,6 +311,12 @@ class TestIchol:
         for arr in (lower.row_offsets, lower.col_indices, lower.values):
             h.update(arr.tobytes())
         assert h.hexdigest() == digest
+
+    def test_factor_arrays_hold_exactly_nnz(self):
+        f = sparse.ichol(five_point_laplacian(12), 1e-2)
+        for tri in (f.lower, f._upper):
+            for arr in (tri.col_indices, tri.values):
+                assert arr.base is None and arr.shape == (tri.nnz,)
 
     def test_nonpositive_diagonal_rejected(self):
         a = sparse.csr_from_triplets(2, 2, [(0, 0, -1.0), (1, 1, 1.0)])
@@ -345,6 +439,25 @@ class TestIcholOracle:
             self.assert_same_as_oracle(block, tau)
 
 
+class TestIcholMemory:
+    # The traced peak of ichol over the bytes of the factor it returns: L,
+    # L^T and the diagonal-block inverses.  On the N=16 Biot displacement
+    # block at tau=1e-4 (194k entries in L) it was 2.21 while the column
+    # store grew by copies and the transpose and the inverses built row
+    # indices for all of L, and it is 1.42 without them.
+    def test_biot_displacement_peak(self):
+        a = biot.assemble_biot(biot.build_mesh(16), biot.BiotParameters()).a_u
+        tracemalloc.start()
+        try:
+            f = sparse.ichol(a, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(arr.nbytes for tri in (f.lower, f._upper)
+                   for arr in (tri.row_offsets, tri.col_indices, tri.values))
+        assert peak <= 1.75 * (held + f._inverses.nbytes)
+
+
 def dense_substitution(lower, b):
     """(L L^T)^{-1} b by row-by-row forward and backward substitution."""
     n = lower.shape[0]
@@ -417,6 +530,31 @@ class TestIcSolve:
         res_prec = np.linalg.norm(sparse.spmv(a, x) - b)
         res_scaled = np.linalg.norm(sparse.spmv(a, b / 4.0) - b)
         assert res_prec < res_scaled
+
+    # sha256 of the solve, recorded before the sweeps ran a precomputed plan
+    @pytest.mark.parametrize("block, digest", [
+        ("u", "3570883ff95cd207a7914f2381593eda5743cac146e6d71e8e22c09a90bdd777"),
+        ("xi", "44cea4647dbe830f73e9ac4f4f99931def8688b3235a8e846c7a78a41b49cf98"),
+        ("p", "9ce8ed93c8986b1752074661a9d8c263df5a31dd4545bb7fa505bea102b0327c"),
+    ])
+    def test_biot_solves_bitwise(self, block, digest, biot8_factors):
+        f = biot8_factors[block]
+        b = np.random.default_rng(19).uniform(-1.0, 1.0, f.n)
+        assert sha256_of(sparse.ic_solve(f, b)) == digest
+
+    def test_remainder_solve_bitwise(self):
+        f = sparse.ichol(five_point_laplacian(sparse._BLOCK // 4 + 3, 8), 0.0)
+        assert f.n % sparse._BLOCK
+        b = np.random.default_rng(19).uniform(-1.0, 1.0, f.n)
+        assert (sha256_of(sparse.ic_solve(f, b))
+                == "93b3f7ee380d01b6de41d3dba56fa484282b44818328678347f54b32053d202e")
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_and_single_row(self, n):
+        a = sparse.CsrMatrix(n, n, np.arange(n + 1), np.arange(n), np.full(n, 4.0))
+        f = sparse.ichol(a, 0.0)
+        assert np.array_equal(f.lower.to_dense(), np.full((n, n), 2.0))
+        assert np.array_equal(sparse.ic_solve(f, np.full(n, 2.0)), np.full(n, 0.5))
 
     def test_length_mismatch(self):
         f = sparse.ichol(csr_identity(3), 0.0)
