@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import as_square
 from .precond import IdentityPreconditioner
 
 
@@ -30,11 +29,6 @@ class LinearOperator:
 
     def matvec(self, v):
         return self._matvec(v)
-
-    @classmethod
-    def from_dense(cls, a):
-        m = as_square(a)
-        return cls(m.shape[0], lambda v: m @ v)
 
 
 @dataclass

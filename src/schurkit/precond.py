@@ -167,26 +167,26 @@ def _check_solves(solves, n):
 # ---------------------------------------------------------------------------
 # presets
 
-# three-block and additive presets: name -> (family, diag signs, subdiagonal
-# signs); an additive pattern signs its two blocks (leading aggregate, Schur
-# corner) and its single coupling
+# A preset is a family plus its diagonal signs delta; the subdiagonal signs
+# of the triangular families, and the predicted spectrum (``verify``),
+# follow from delta through ``epsilon_signs``.  An additive pattern signs
+# its two blocks: the leading aggregate and the Schur corner.
 _PATTERNS = {
-    "P1": ("triangular", (1, -1, 1), (1, 1)),
-    "P2": ("triangular", (1, 1, 1), (1, -1)),
-    "P3": ("triangular", (1, 1, -1), (1, -1)),
-    "P4": ("triangular", (1, -1, -1), (1, 1)),
-    "PD1": ("diagonal", (1, 1, 1), ()),
-    "PD2": ("diagonal", (1, 1, -1), ()),
-    "PD3": ("diagonal", (1, -1, 1), ()),
-    "PD4": ("diagonal", (1, -1, -1), ()),
-    "Q1": ("additive-triangular", (1, -1), (1,)),
-    "Q2": ("additive-triangular", (1, 1), (1,)),
-    "QD1": ("additive-diagonal", (1, 1), ()),
-    "QD2": ("additive-diagonal", (1, -1), ()),
+    "P1": ("triangular", (1, -1, 1)),
+    "P2": ("triangular", (1, 1, 1)),
+    "P3": ("triangular", (1, 1, -1)),
+    "P4": ("triangular", (1, -1, -1)),
+    "PD1": ("diagonal", (1, 1, 1)),
+    "PD2": ("diagonal", (1, 1, -1)),
+    "PD3": ("diagonal", (1, -1, 1)),
+    "PD4": ("diagonal", (1, -1, -1)),
+    "Q1": ("additive-triangular", (1, -1)),
+    "Q2": ("additive-triangular", (1, 1)),
+    "QD1": ("additive-diagonal", (1, 1)),
+    "QD2": ("additive-diagonal", (1, -1)),
 }
 
-# n-block presets: name -> (family, r); block i has diagonal sign r**i and
-# every subdiagonal coupling sign is +1
+# n-block presets: name -> (family, r); block i has diagonal sign r**(i-1)
 _N_BLOCK = {
     "Pn": ("triangular", -1),
     "Dn": ("diagonal", -1),
@@ -199,23 +199,37 @@ NESTED_PRESETS = tuple(k for k in _PATTERNS if k not in ADDITIVE_PRESETS) + N_BL
 PRESET_NAMES = NESTED_PRESETS + ADDITIVE_PRESETS
 
 
+def epsilon_signs(diag_signs):
+    """eps_i = delta_i (-1)**(i-1) for diagonal signs delta.
+
+    ``build_ldu`` writes A = L D U with D = diag((-1)**(i-1) S_i), so the
+    triangular pattern with subdiagonal signs gamma_i = eps_i is
+    P = L D E with E = diag(eps_i I), and P^{-1} A = E U is block upper
+    triangular with diagonal blocks eps_i I.
+    """
+    return tuple(d * (-1) ** i for i, d in enumerate(diag_signs))
+
+
 def preset_pattern(name, n=3):
     """Resolve a preset name to (family, diag_signs, sub_signs).
 
     family is one of 'triangular', 'diagonal', 'additive-triangular',
     'additive-diagonal'.  For additive families diag_signs covers the two
     blocks (leading aggregate, Schur corner) and sub_signs the single
-    coupling.
+    coupling.  Triangular families take gamma_i = eps_i (``epsilon_signs``);
+    diagonal ones have no coupling.
     """
     if name in _N_BLOCK:
         family, r = _N_BLOCK[name]
-        subs = (1,) * (n - 1) if family == "triangular" else ()
-        return family, tuple(r ** i for i in range(n)), subs
-    if name not in _PATTERNS:
+        diag = tuple(r ** i for i in range(n))
+    elif name not in _PATTERNS:
         raise UnknownPresetError(f"unknown preconditioner preset {name!r}")
-    if name in NESTED_PRESETS and n != 3:
+    elif name in NESTED_PRESETS and n != 3:
         raise UnknownPresetError(f"{name} is a three-block preset, got n={n}")
-    return _PATTERNS[name]
+    else:
+        family, diag = _PATTERNS[name]
+    subs = epsilon_signs(diag)[:-1] if family.endswith("triangular") else ()
+    return family, diag, subs
 
 
 def _lu_solver(f):

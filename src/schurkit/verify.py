@@ -1,10 +1,12 @@
 """Spectral verification machinery for the preconditioner families.
 
-Predicted minimal-polynomial factors per preset, the two polynomial
-recurrences behind the n-block diagonal families, normalized annihilation
-residuals, spectrum membership reports, positive-stability verdicts, and
-Routh tables for the half-plane count.  A polynomial is the tuple of its
-ascending float coefficients; numpy's ``polyroots`` finds its roots.
+Predicted minimal-polynomial factors and stability flags, derived from a
+preset's diagonal signs (a three-term recurrence for the diagonal
+families, one linear factor per block for the triangular ones),
+normalized annihilation residuals, spectrum membership reports,
+positive-stability verdicts, and Routh tables for the half-plane count.
+A polynomial is the tuple of its ascending float coefficients; numpy's
+``polyroots`` finds its roots.
 """
 
 from __future__ import annotations
@@ -39,67 +41,60 @@ def _coefficients(coeffs):
     return c
 
 
-def _three_term(n, sign):
-    """q_0 = 1, q_1 = x - 1, q_{i+1} = x*q_i + sign*q_{i-1}."""
-    if n < 1:
+def _diagonal_recurrence(diag_signs):
+    """q_0 = 1, q_1 = x - delta_1, q_{i+1} = x*q_i - delta_i delta_{i+1} q_{i-1}."""
+    if not diag_signs:
         raise ValueError("need n >= 1")
-    seq = [[1], [-1, 1]]
-    for _ in range(2, n + 1):
+    seq = [[1], [-diag_signs[0], 1]]
+    for a, b in zip(diag_signs, diag_signs[1:]):
         nxt = [0] + seq[-1]
         for k, c in enumerate(seq[-2]):
-            nxt[k] += sign * c
+            nxt[k] -= a * b * c
         seq.append(nxt)
     return [tuple(float(v) for v in c) for c in seq]
 
 
 def pbar_polynomials(n):
-    """q_0 = 1, q_1 = x - 1, q_{i+1} = x*q_i + q_{i-1}, as ascending coefficients."""
-    return _three_term(n, 1)
+    """q_0 = 1, q_1 = x - 1, q_{i+1} = x*q_i + q_{i-1}, as ascending
+    coefficients: the diagonal recurrence of the alternating signs of Dn."""
+    return _diagonal_recurrence(pc.preset_pattern("Dn", n=n)[1])
 
 
 def ptilde_polynomials(n):
-    """q_0 = 1, q_1 = x - 1, q_{i+1} = x*q_i - q_{i-1}, as ascending coefficients."""
-    return _three_term(n, -1)
+    """q_0 = 1, q_1 = x - 1, q_{i+1} = x*q_i - q_{i-1}, as ascending
+    coefficients: the diagonal recurrence of the all-plus signs of Mn."""
+    return _diagonal_recurrence(pc.preset_pattern("Mn", n=n)[1])
 
 
-_X = (0.0, 1.0)
-_XM1 = (-1.0, 1.0)
-_XP1 = (1.0, 1.0)
-_Q_MINUS = (-1.0, -1.0, 1.0)       # x^2 - x - 1
-_Q_PLUS = (1.0, -1.0, 1.0)         # x^2 - x + 1
-_C_MM = (1.0, -2.0, -1.0, 1.0)     # x^3 - x^2 - 2x + 1
-_C_M0 = (-1.0, 0.0, -1.0, 1.0)     # x^3 - x^2 - 1
-_C_PM = (-1.0, 2.0, -1.0, 1.0)     # x^3 - x^2 + 2x - 1
-_C_P0 = (1.0, 0.0, -1.0, 1.0)      # x^3 - x^2 + 1
+def pattern_factors(family, diag_signs):
+    """Annihilating-polynomial factors of a sign pattern's P^{-1} A.
 
-# name -> (predicted factors, None for the n-block families whose factors
-# depend on n; whether the predicted spectrum sits strictly in the right
-# half-plane).  Stability is not read off the roots: QD2's factors include x,
-# yet QD2 is expected positive stable.
-_THEORY = {
-    "P1": ((_XM1, _XM1, _XM1), True),
-    "P2": ((_XM1, _XM1, _XP1), False),
-    "P3": ((_XM1, _XP1, _XP1), False),
-    "P4": ((_XM1, _XM1, _XP1), False),
-    "PD1": ((_XM1, _Q_MINUS, _C_MM), False),
-    "PD2": ((_XM1, _Q_MINUS, _C_M0), False),
-    "PD3": ((_XM1, _Q_PLUS, _C_PM), True),
-    "PD4": ((_XM1, _Q_PLUS, _C_P0), False),
-    "Pn": (None, True),
-    "Dn": (None, True),
-    "Mn": (None, False),
-    "Q1": ((_XM1, _XM1), True),
-    "Q2": ((_XM1, _XP1), False),
-    "QD1": ((_X, _XM1, _Q_MINUS), False),
-    "QD2": ((_X, _XM1, _Q_PLUS), True),
-}
+    Triangular families: x - eps_i (``precond.epsilon_signs``), in
+    descending order of eps.  Diagonal families: q_1..q_n of the diagonal
+    recurrence; the additive one puts a factor x in front.
+    """
+    if family.endswith("triangular"):
+        return [(float(-e), 1.0)
+                for e in sorted(pc.epsilon_signs(diag_signs), reverse=True)]
+    factors = _diagonal_recurrence(diag_signs)[1:]
+    return [(0.0, 1.0)] + factors if family == "additive-diagonal" else factors
 
-# n-block presets: n -> predicted factors
-_N_BLOCK_FACTORS = {
-    "Pn": lambda n: [_XM1] * n,
-    "Dn": lambda n: pbar_polynomials(n)[1:],
-    "Mn": lambda n: ptilde_polynomials(n)[1:],
-}
+
+def pattern_positive_stable(diag_signs):
+    """Whether a sign pattern's predicted spectrum lies in the open right
+    half-plane: every eps_i is +1.  For the diagonal families that is the
+    alternating delta with delta_1 = +1; the additive-diagonal factor x
+    is set aside."""
+    return all(e == 1 for e in pc.epsilon_signs(diag_signs))
+
+
+def _preset_signs(preset, n):
+    """(family, diag signs) of a preset; three-block presets ignore n."""
+    if preset not in pc.N_BLOCK_PRESETS:
+        n = 3
+    elif n is None:
+        raise ValueError(f"{preset} needs n")
+    return pc.preset_pattern(preset, n=n)[:2]
 
 
 def predicted_polynomial(preset, n=None):
@@ -109,14 +104,7 @@ def predicted_polynomial(preset, n=None):
     satisfies under the preset's hypothesis (the diagonal and additive
     block-diagonal families assume the relevant zero diagonal blocks).
     """
-    if preset not in _THEORY:
-        raise pc.UnknownPresetError(f"unknown preset {preset!r}")
-    factors = _THEORY[preset][0]
-    if factors is not None:
-        return list(factors)
-    if n is None:
-        raise ValueError(f"{preset} needs n")
-    return _N_BLOCK_FACTORS[preset](n)
+    return pattern_factors(*_preset_signs(preset, n))
 
 
 def predicted_roots(preset, n=None):
@@ -357,7 +345,7 @@ def verify_preset(preset, seed, sizes, n=None):
     ok = (residual <= ANNIHILATION_TOL
           and report.max_membership_distance <= tol)
     detail = ""
-    if _THEORY[preset][1]:
+    if pattern_positive_stable(_preset_signs(preset, nn)[1]):
         stable = positive_stable(eigs, STABILITY_MARGIN)
         ok = ok and stable
         detail = "positive-stable" if stable else "expected positive stability"

@@ -153,7 +153,7 @@ def test_criterion_06_gmres_finite_termination():
         for seed in range(5):
             _, system, a = verify.build_preconditioned(preset, seed, (6, 5, 4))
             p = precond.make_preconditioner(preset, system)
-            op = LinearOperator.from_dense(a)
+            op = LinearOperator(len(a), lambda v: a @ v)
             _, stats = gmres(op, p, np.ones(op.dim), tol=1e-12, maxit=50)
             if not (stats.converged and stats.iterations <= bound):
                 ok = False
@@ -161,7 +161,8 @@ def test_criterion_06_gmres_finite_termination():
     for n in range(2, 9):
         sizes = tuple(((6, 5, 4, 3) * 2)[:n])
         s = blocks.random_system(blocks.SystemOptions(seed=60 + n, sizes=sizes))
-        op = LinearOperator.from_dense(blocks.assemble(s))
+        a = blocks.assemble(s)
+        op = LinearOperator(len(a), lambda v: a @ v)
         p = precond.make_preconditioner("Pn", s)
         _, stats = gmres(op, p, np.ones(op.dim), tol=1e-12, maxit=50)
         if not (stats.converged and stats.iterations <= n):

@@ -12,7 +12,7 @@ def make_system(seed, sizes, **flags):
 
 class TestGmres:
     def test_identity_one_iteration(self):
-        op = gmres.LinearOperator.from_dense(np.eye(7))
+        op = gmres.LinearOperator(7, lambda v: v)
         b = np.arange(1.0, 8.0)
         x, stats = gmres.gmres(op, None, b, tol=1e-12, maxit=20)
         assert stats.iterations == 1
@@ -20,14 +20,15 @@ class TestGmres:
         assert np.abs(x - b).max() < 1e-12
 
     def test_zero_rhs(self):
-        op = gmres.LinearOperator.from_dense(np.eye(3))
+        op = gmres.LinearOperator(3, lambda v: v)
         x, stats = gmres.gmres(op, None, np.zeros(3), tol=1e-10, maxit=5)
         assert stats.converged and stats.iterations == 0
         assert np.abs(x).max() == 0.0
 
     def test_degree_three_operator_terminates_in_three(self):
         s = make_system(51, (6, 5, 4))
-        op = gmres.LinearOperator.from_dense(blocks.assemble(s))
+        a = blocks.assemble(s)
+        op = gmres.LinearOperator(len(a), lambda v: a @ v)
         p = precond.make_preconditioner("P1", s)
         b = np.ones(op.dim)
         x, stats = gmres.gmres(op, p, b, tol=1e-12, maxit=50)
@@ -39,7 +40,7 @@ class TestGmres:
         m = rng.uniform(-1.0, 1.0, (50, 50))
         a = m @ m.T + 50 * np.eye(50)
         b = rng.uniform(-1.0, 1.0, 50)
-        op = gmres.LinearOperator.from_dense(a)
+        op = gmres.LinearOperator(len(a), lambda v: a @ v)
         x, stats = gmres.gmres(op, None, b, tol=1e-10, maxit=50)
         assert stats.converged
         assert np.abs(x - np.linalg.solve(a, b)).max() < 1e-8
@@ -48,7 +49,7 @@ class TestGmres:
         rng = np.random.default_rng(53)
         a = rng.uniform(-1.0, 1.0, (40, 40)) + 8 * np.eye(40)
         b = rng.uniform(-1.0, 1.0, 40)
-        op = gmres.LinearOperator.from_dense(a)
+        op = gmres.LinearOperator(len(a), lambda v: a @ v)
         _, stats = gmres.gmres(op, None, b, tol=1e-12, maxit=40)
         hist = stats.residuals
         assert hist[0] == 1.0
@@ -59,7 +60,7 @@ class TestGmres:
         # rhs spanned by two eigenvectors: exact after two steps
         a = np.diag([1.0, 2.0, 3.0, 4.0])
         b = np.array([1.0, 1.0, 0.0, 0.0])
-        op = gmres.LinearOperator.from_dense(a)
+        op = gmres.LinearOperator(len(a), lambda v: a @ v)
         x, stats = gmres.gmres(op, None, b, tol=1e-13, maxit=10)
         assert stats.converged
         assert stats.iterations <= 2
@@ -73,7 +74,7 @@ class TestGmres:
     def test_nonconvergence_reported(self):
         rng = np.random.default_rng(54)
         a = rng.uniform(-1.0, 1.0, (30, 30)) + 6 * np.eye(30)
-        op = gmres.LinearOperator.from_dense(a)
+        op = gmres.LinearOperator(len(a), lambda v: a @ v)
         _, stats = gmres.gmres(op, None, rng.uniform(-1, 1, 30),
                                tol=1e-14, maxit=3)
         assert not stats.converged
@@ -81,7 +82,7 @@ class TestGmres:
         assert stats.residuals[-1] > 1e-14
 
     def test_bad_inputs(self):
-        op = gmres.LinearOperator.from_dense(np.eye(3))
+        op = gmres.LinearOperator(3, lambda v: v)
         with pytest.raises(ValueError):
             gmres.gmres(op, None, np.ones(4), tol=1e-8, maxit=5)
         with pytest.raises(ValueError):
@@ -99,7 +100,8 @@ class TestFiniteTermination:
     @pytest.mark.parametrize("name,degree,flags", DEGREE_BOUNDS)
     def test_nested_presets(self, name, degree, flags):
         s = make_system(55, (6, 5, 4), **flags)
-        op = gmres.LinearOperator.from_dense(blocks.assemble(s))
+        a = blocks.assemble(s)
+        op = gmres.LinearOperator(len(a), lambda v: a @ v)
         p = precond.make_preconditioner(name, s)
         b = np.ones(op.dim)
         _, stats = gmres.gmres(op, p, b, tol=1e-12, maxit=40)
@@ -112,7 +114,8 @@ class TestFiniteTermination:
     def test_additive_presets(self, name, degree, flags):
         s = make_system(56, (6, 4, 5), **flags)
         arrow, _ = blocks.permute_threeblock(s)
-        op = gmres.LinearOperator.from_dense(blocks.assemble_arrowhead(arrow))
+        a = blocks.assemble_arrowhead(arrow)
+        op = gmres.LinearOperator(len(a), lambda v: a @ v)
         p = precond.make_preconditioner(name, arrow)
         b = np.ones(op.dim)
         _, stats = gmres.gmres(op, p, b, tol=1e-12, maxit=40)
@@ -122,7 +125,8 @@ class TestFiniteTermination:
     def test_n_block_triangular(self, n):
         sizes = tuple(((5, 4, 3, 2) * 2)[:n])
         s = make_system(57, sizes)
-        op = gmres.LinearOperator.from_dense(blocks.assemble(s))
+        a = blocks.assemble(s)
+        op = gmres.LinearOperator(len(a), lambda v: a @ v)
         p = precond.make_preconditioner("Pn", s)
         b = np.ones(op.dim)
         _, stats = gmres.gmres(op, p, b, tol=1e-12, maxit=40)
@@ -131,12 +135,14 @@ class TestFiniteTermination:
     def test_additive_never_slower_than_nested_triangular(self):
         for seed in range(5):
             s = make_system(80 + seed, (5, 4, 3))
-            op = gmres.LinearOperator.from_dense(blocks.assemble(s))
+            a = blocks.assemble(s)
+            op = gmres.LinearOperator(len(a), lambda v: a @ v)
             p = precond.make_preconditioner("P1", s)
             b = np.ones(op.dim)
             _, st_nested = gmres.gmres(op, p, b, tol=1e-12, maxit=40)
             arrow, _ = blocks.permute_threeblock(s)
-            opq = gmres.LinearOperator.from_dense(blocks.assemble_arrowhead(arrow))
+            aq = blocks.assemble_arrowhead(arrow)
+            opq = gmres.LinearOperator(len(aq), lambda v: aq @ v)
             q = precond.make_preconditioner("Q1", arrow)
             _, st_add = gmres.gmres(opq, q, np.ones(opq.dim), tol=1e-12, maxit=40)
             assert st_add.iterations <= st_nested.iterations

@@ -1,10 +1,152 @@
+import functools
 import hashlib
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from schurkit import blocks, dense, precond, verify
+
+
+# The paper's predicted factors, stability flags and subdiagonal signs,
+# written out by hand: the oracle for what the library derives from a
+# preset's diagonal signs.
+XM1, XP1, X = (-1.0, 1.0), (1.0, 1.0), (0.0, 1.0)
+Q_MINUS, Q_PLUS = (-1.0, -1.0, 1.0), (1.0, -1.0, 1.0)   # x^2 - x -+ 1
+
+
+def three_term(n, sign):
+    """q_1..q_n of q_0 = 1, q_1 = x - 1, q_{i+1} = x q_i + sign q_{i-1}."""
+    seq = [[1], [-1, 1]]
+    while len(seq) <= n:
+        seq.append([a + sign * b for a, b in zip([0] + seq[-1], seq[-2] + [0, 0])])
+    return [tuple(float(v) for v in c) for c in seq[1:]]
+
+
+# name -> (factors, or factors(n) for the n-block presets; expected
+# positive stable).  QD2 counts as stable although its factors include x.
+ORACLE = {
+    "P1": ((XM1, XM1, XM1), True),
+    "P2": ((XM1, XM1, XP1), False),
+    "P3": ((XM1, XP1, XP1), False),
+    "P4": ((XM1, XM1, XP1), False),
+    "PD1": ((XM1, Q_MINUS, (1.0, -2.0, -1.0, 1.0)), False),   # x^3 - x^2 - 2x + 1
+    "PD2": ((XM1, Q_MINUS, (-1.0, 0.0, -1.0, 1.0)), False),   # x^3 - x^2 - 1
+    "PD3": ((XM1, Q_PLUS, (-1.0, 2.0, -1.0, 1.0)), True),     # x^3 - x^2 + 2x - 1
+    "PD4": ((XM1, Q_PLUS, (1.0, 0.0, -1.0, 1.0)), False),     # x^3 - x^2 + 1
+    "Pn": (lambda n: [XM1] * n, True),
+    "Dn": (lambda n: three_term(n, 1), True),
+    "Mn": (lambda n: three_term(n, -1), False),
+    "Q1": ((XM1, XM1), True),
+    "Q2": ((XM1, XP1), False),
+    "QD1": ((X, XM1, Q_MINUS), False),
+    "QD2": ((X, XM1, Q_PLUS), True),
+}
+
+# name -> (family, diagonal signs, subdiagonal signs), or a function of n
+PATTERN_ORACLE = {
+    "P1": ("triangular", (1, -1, 1), (1, 1)),
+    "P2": ("triangular", (1, 1, 1), (1, -1)),
+    "P3": ("triangular", (1, 1, -1), (1, -1)),
+    "P4": ("triangular", (1, -1, -1), (1, 1)),
+    "PD1": ("diagonal", (1, 1, 1), ()),
+    "PD2": ("diagonal", (1, 1, -1), ()),
+    "PD3": ("diagonal", (1, -1, 1), ()),
+    "PD4": ("diagonal", (1, -1, -1), ()),
+    "Pn": lambda n: ("triangular", tuple((-1) ** i for i in range(n)), (1,) * (n - 1)),
+    "Dn": lambda n: ("diagonal", tuple((-1) ** i for i in range(n)), ()),
+    "Mn": lambda n: ("diagonal", (1,) * n, ()),
+    "Q1": ("additive-triangular", (1, -1), (1,)),
+    "Q2": ("additive-triangular", (1, 1), (1,)),
+    "QD1": ("additive-diagonal", (1, 1), ()),
+    "QD2": ("additive-diagonal", (1, -1), ()),
+}
+
+
+def oracle_cases(name):
+    """(n, factors, pattern) rows: n = 2..12 for the n-block presets, else
+    the three-block row, which ignores n."""
+    factors, pattern = ORACLE[name][0], PATTERN_ORACLE[name]
+    if name not in precond.N_BLOCK_PRESETS:
+        return [(n, list(factors), pattern) for n in (None, 3)]
+    return [(n, factors(n), pattern(n)) for n in range(2, 13)]
+
+
+class TestOracle:
+    @pytest.mark.parametrize("name", precond.PRESET_NAMES)
+    def test_predicted_factors(self, name):
+        for n, factors, _ in oracle_cases(name):
+            got = verify.predicted_polynomial(name, n=n)
+            assert got == factors, (name, n)
+            assert all(type(v) is float for c in got for v in c)
+
+    @pytest.mark.parametrize("name", precond.PRESET_NAMES)
+    def test_preset_pattern(self, name):
+        for n, _, pattern in oracle_cases(name):
+            assert precond.preset_pattern(name, n=n or 3) == pattern, (name, n)
+
+    @pytest.mark.parametrize("name", precond.PRESET_NAMES)
+    def test_stability_flag(self, name):
+        for n, _, (_, diag, _) in oracle_cases(name):
+            assert verify.pattern_positive_stable(diag) == ORACLE[name][1], (name, n)
+
+
+@functools.cache
+def exact_right_half_plane_roots(coeffs):
+    """Sign changes in the first column of the Routh table of an integer
+    polynomial (ascending coefficients), in exact rational arithmetic."""
+    desc = [Fraction(int(c)) for c in reversed(coeffs)]
+    rows = [desc[0::2], desc[1::2]]
+    while len(rows) < len(desc):
+        prev2, prev1 = rows[-2], rows[-1]
+        assert prev1[0] != 0, f"zero pivot in the Routh table of {coeffs}"
+        ratio = prev2[0] / prev1[0]
+        rows.append([a - ratio * b for a, b in zip(prev2[1:], prev1[1:] + [0])])
+    first = [r[0] for r in rows]
+    assert all(first), f"zero pivot in the Routh table of {coeffs}"
+    return sum(a * b < 0 for a, b in zip(first, first[1:]))
+
+
+class TestSignPatterns:
+    """The derived theory on every diagonal sign vector, not only on presets."""
+
+    @pytest.mark.parametrize("family,hypothesis", [("diagonal", "Dn"),
+                                                   ("triangular", "Pn")])
+    def test_every_sign_vector_annihilates(self, family, hypothesis):
+        failed = []
+        for n, seed in itertools.product(range(2, 9), (0, 1)):
+            s = blocks.random_system(
+                verify.hypothesis_options(hypothesis, seed, (4, 3, 2), n=n))
+            a = blocks.assemble(s)
+            solves = [functools.partial(dense.lu_solve, f)
+                      for f in blocks.nested_chain(s).factors]
+            couplings = [c.__matmul__ for c in s.lower]
+            for diag in itertools.product((1, -1), repeat=n):
+                if family == "diagonal":
+                    p = precond.BlockDiagonalPreconditioner(s.sizes, solves, diag)
+                else:
+                    p = precond.BlockTriangularPreconditioner(
+                        s.sizes, solves, diag, couplings,
+                        precond.epsilon_signs(diag)[:-1])
+                t = precond.preconditioned_matrix(p, a)
+                r = verify.annihilation_residual(t, verify.pattern_factors(family, diag))
+                if not r <= verify.ANNIHILATION_TOL:
+                    failed.append((diag, seed, r))
+        assert failed == []
+
+    def test_exactly_alternating_signs_are_positive_stable(self):
+        # delta_1 = +1 as in every preset (-delta negates P^{-1} A); a list,
+        # not a generator, so that every factor's table is built: 4,095
+        # distinct factors for n = 2..12, none with a zero pivot
+        for n in range(2, 13):
+            for rest in itertools.product((1, -1), repeat=n - 1):
+                diag = (1,) + rest
+                right = all([exact_right_half_plane_roots(c) == len(c) - 1
+                             for c in verify.pattern_factors("diagonal", diag)])
+                alternating = all(d != e for d, e in zip(diag, diag[1:]))
+                assert right == alternating == verify.pattern_positive_stable(diag), diag
 
 
 class TestRecurrences:
@@ -141,10 +283,12 @@ class TestPresetTables:
     def test_tables_name_the_same_presets(self):
         patterns = set(precond._PATTERNS) | set(precond._N_BLOCK)
         assert len(patterns) == len(precond._PATTERNS) + len(precond._N_BLOCK)
-        assert patterns == set(verify._THEORY) == set(precond.PRESET_NAMES)
-        assert set(verify._N_BLOCK_FACTORS) == set(precond.N_BLOCK_PRESETS)
-        assert {name for name, (factors, _) in verify._THEORY.items()
-                if factors is None} == set(precond.N_BLOCK_PRESETS)
+        assert patterns == set(ORACLE) == set(PATTERN_ORACLE) == set(precond.PRESET_NAMES)
+        assert set(precond._N_BLOCK) == set(precond.N_BLOCK_PRESETS)
+        assert {name for name, (factors, _) in ORACLE.items()
+                if callable(factors)} == set(precond.N_BLOCK_PRESETS)
+        assert {name for name, pattern in PATTERN_ORACLE.items()
+                if callable(pattern)} == set(precond.N_BLOCK_PRESETS)
 
     def test_preset_order(self):
         assert precond.PRESET_NAMES == (
