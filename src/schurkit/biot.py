@@ -21,8 +21,7 @@ from . import precond as pc
 from .blocks import write_blocks
 from .krylov import GmresBreakdownError, IterationTable, LinearOperator, gmres
 from .sparse import (CsrMatrix, csr_add, csr_from_triplets, csr_scale,
-                     csr_submatrix, csr_transpose, ic_solve, ichol,
-                     spmv, write_matrix_market)
+                     csr_transpose, ic_solve, ichol, spmv, write_matrix_market)
 
 #: benchmark table column order: diagonal family first, then triangular
 BENCH_COLUMNS = ("PD1", "PD2", "PD3", "PD4", "P1", "P2", "P3", "P4")
@@ -247,28 +246,36 @@ def assemble_biot(mesh, params, apply_bcs=True):
     ke_stiff = area[:, None, None] * np.einsum("tia,tja->tij", grad_l, grad_l)
 
     udofs = np.hstack([nodes, nodes + n_scalar])         # (nt, 12)
-    n_u_full = 2 * n_scalar
+    x = mesh.p2_node_coords()[:, 0]                      # vertices first
+    off_wall = (x != 0.0) & (x != 1.0) if apply_bcs else np.ones(n_scalar, dtype=bool)
+    u_free = np.concatenate([off_wall, off_wall])
+    p_free = off_wall[:nv]
+    # each dof's row and column in its block, -1 on the walls: the
+    # Dirichlet rows and columns are dropped while scattering
+    u_num, p_num = (np.where(free, np.cumsum(free) - 1, -1) for free in (u_free, p_free))
+    xi_num = np.arange(nv)
 
-    def scatter(rows_dofs, cols_dofs, ke, nrows, ncols):
-        nr = rows_dofs.shape[1]
-        nc = cols_dofs.shape[1]
-        ii = np.repeat(rows_dofs, nc, axis=1).ravel()
-        jj = np.tile(cols_dofs, (1, nr)).ravel()
-        return csr_from_triplets(nrows, ncols, (ii, jj, ke.ravel()))
+    def scatter(row_num, rows_dofs, col_num, cols_dofs, ke):
+        ii = np.repeat(row_num[rows_dofs], cols_dofs.shape[1], axis=1).ravel()
+        jj = np.tile(col_num[cols_dofs], (1, rows_dofs.shape[1])).ravel()
+        keep = (ii >= 0) & (jj >= 0)
+        # rebound, so the unfiltered index arrays are freed before assembly
+        ii, jj, vv = ii[keep], jj[keep], ke.ravel()[keep]
+        return csr_from_triplets(row_num.max(initial=-1) + 1, col_num.max(initial=-1) + 1,
+                                 (ii, jj, vv))
 
-    a_u = scatter(udofs, udofs, ke_u, n_u_full, n_u_full)
-    b_uxi = scatter(tri, udofs, ke_b, nv, n_u_full)
-    mass = scatter(tri, tri, ke_m, nv, nv)
-    stiff = scatter(tri, tri, ke_stiff, nv, nv)
-
-    a_xi = scatter(tri, tri, (1.0 / lam) * ke_m, nv, nv)
-    b_xip = scatter(tri, tri, (params.alpha / lam) * ke_m, nv, nv)
+    a_u = scatter(u_num, udofs, u_num, udofs, ke_u)
+    b_uxi = scatter(xi_num, tri, u_num, udofs, ke_b)
+    m_xi = scatter(xi_num, tri, xi_num, tri, ke_m)
+    m_p = scatter(p_num, tri, p_num, tri, ke_m)
+    a_xi = scatter(xi_num, tri, xi_num, tri, (1.0 / lam) * ke_m)
+    b_xip = scatter(p_num, tri, xi_num, tri, (params.alpha / lam) * ke_m)
     a_p = csr_add(
-        csr_scale(mass, -(params.c0 + params.alpha ** 2 / lam)),
-        csr_scale(stiff, -params.dt * params.K),
+        csr_scale(m_p, -(params.c0 + params.alpha ** 2 / lam)),
+        csr_scale(scatter(p_num, tri, p_num, tri, ke_stiff), -params.dt * params.K),
     )
 
-    f_u = np.zeros(n_u_full)
+    f_u = np.zeros(2 * n_scalar)
     np.add.at(f_u, nodes.ravel(),
               params.body_force[0] * load_u.ravel())
     np.add.at(f_u, (nodes + n_scalar).ravel(),
@@ -277,29 +284,11 @@ def assemble_biot(mesh, params, apply_bcs=True):
     np.add.at(f_p, tri.ravel(), -params.dt * params.source * load_p1.ravel())
     f_xi = np.zeros(nv)
 
-    if apply_bcs:
-        coords = mesh.p2_node_coords()
-        on_wall = (coords[:, 0] == 0.0) | (coords[:, 0] == 1.0)
-        u_keep = np.concatenate([np.flatnonzero(~on_wall),
-                                 n_scalar + np.flatnonzero(~on_wall)])
-        vx = mesh.vertices[:, 0]
-        p_keep = np.flatnonzero((vx != 0.0) & (vx != 1.0))
-    else:
-        u_keep = np.arange(n_u_full)
-        p_keep = np.arange(nv)
-    xi_keep = np.arange(nv)
-
-    a_u = csr_submatrix(a_u, u_keep, u_keep)
-    b_uxi = csr_submatrix(b_uxi, xi_keep, u_keep)
-    b_xip_r = csr_submatrix(b_xip, p_keep, xi_keep)
-    a_p = csr_submatrix(a_p, p_keep, p_keep)
-    m_p = csr_submatrix(mass, p_keep, p_keep)
-
-    rhs = np.concatenate([f_u[u_keep], f_xi, f_p[p_keep]])
+    rhs = np.concatenate([f_u[u_free], f_xi, f_p[p_free]])
     return BiotAssembly(
         a_u=a_u, b_uxi=b_uxi, b_uxi_t=csr_transpose(b_uxi),
-        a_xi=a_xi, b_xip=b_xip_r, b_xip_t=csr_transpose(b_xip_r),
-        a_p=a_p, m_xi=mass, m_p=m_p, rhs=rhs,
+        a_xi=a_xi, b_xip=b_xip, b_xip_t=csr_transpose(b_xip),
+        a_p=a_p, m_xi=m_xi, m_p=m_p, rhs=rhs,
     )
 
 

@@ -230,9 +230,12 @@ def cmd_export(args, parser):
             asm = biot_mod.assemble_biot(mesh, biot_mod.BiotParameters())
             manifest = biot_mod.export_blocks(asm, args.out)
         else:
-            opts = SystemOptions(seed=args.seed, sizes=args.sizes,
-                                 zero_tail=args.zero_tail,
-                                 symmetric_spd=args.spd)
+            try:
+                opts = SystemOptions(seed=args.seed, sizes=args.sizes,
+                                     zero_tail=args.zero_tail,
+                                     symmetric_spd=args.spd)
+            except ValueError as exc:
+                parser.error(str(exc))
             system = random_system(opts)
             manifest = save_system(system, args.out)
     except OSError as exc:

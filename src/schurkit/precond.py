@@ -157,9 +157,10 @@ class BlockTriangularPreconditioner(Preconditioner):
 
 
 def _check_solves(solves, n):
-    if solves is None or len(solves) != n:
-        raise MissingSolverError(len(solves) + 1 if solves else 1)
-    for i, s in enumerate(solves, start=1):
+    solves = list(solves or ())
+    if len(solves) > n:
+        raise ValueError(f"{n} block solves expected, {len(solves)} given")
+    for i, s in enumerate(solves + [None] * (n - len(solves)), start=1):
         if s is None:
             raise MissingSolverError(i)
 

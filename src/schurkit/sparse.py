@@ -75,10 +75,12 @@ class CsrMatrix:
                 raise ValueError("column index out of range")
             if not np.isfinite(self.values).all():
                 raise ValueError("values must be finite")
-            inner = np.diff(self.col_indices)
+            ci = self.col_indices
             starts = np.zeros(nnz, dtype=bool)
             starts[ro[:-1][ro[:-1] < nnz]] = True
-            if ((inner <= 0) & ~starts[1:]).any():
+            # compared as booleans, 1 byte per entry: an int64 np.diff here
+            # would be the largest transient of transposing a factor
+            if ((ci[1:] <= ci[:-1]) & ~starts[1:]).any():
                 raise ValueError("column indices must be strictly increasing per row")
 
     @property
@@ -185,21 +187,6 @@ def csr_add(a, b):
     jj = np.concatenate([a.col_indices, b.col_indices])
     vv = np.concatenate([a.values, b.values])
     return csr_from_triplets(a.rows, a.cols, (ii, jj, vv))
-
-
-def csr_submatrix(a, row_idx, col_idx):
-    """Submatrix on the given (sorted) row and column index arrays."""
-    row_idx = np.asarray(row_idx, dtype=np.int64)
-    col_idx = np.asarray(col_idx, dtype=np.int64)
-    rowmap = np.full(a.rows, -1, dtype=np.int64)
-    rowmap[row_idx] = np.arange(row_idx.size)
-    colmap = np.full(a.cols, -1, dtype=np.int64)
-    colmap[col_idx] = np.arange(col_idx.size)
-    rows = rowmap[a._row_index()]
-    cols = colmap[a.col_indices]
-    keep = (rows >= 0) & (cols >= 0)
-    return csr_from_triplets(row_idx.size, col_idx.size,
-                             (rows[keep], cols[keep], a.values[keep]))
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +399,10 @@ class IcFactor:
 def ichol(a, tau):
     """IC(tau) factorization of a symmetric positive definite CSR matrix.
 
-    Symmetry is checked to SYMMETRY_RTOL (relative, max norm) and enforced
-    by averaging with the transpose.  On a nonpositive pivot the whole
-    factorization restarts with the diagonal shift doubled (floor 1e-3,
-    relative to the diagonal), at most 20 restarts.
+    Symmetry is checked to SYMMETRY_RTOL (relative, max norm) against one
+    transpose and enforced by averaging with it.  On a nonpositive pivot
+    the whole factorization restarts with the diagonal shift doubled
+    (floor 1e-3, relative to the diagonal), at most 20 restarts.
     """
     if a.rows != a.cols:
         raise ValueError("matrix must be square")
@@ -423,14 +410,26 @@ def ichol(a, tau):
         raise ValueError("drop tolerance must be >= 0")
     at = csr_transpose(a)
     amax = float(np.abs(a.values).max(initial=0.0))
-    dmax = float(np.abs(csr_add(a, csr_scale(at, -1.0)).values).max(initial=0.0))
+    if (np.array_equal(at.row_offsets, a.row_offsets)
+            and np.array_equal(at.col_indices, a.col_indices)):
+        # A^T stores a_ji where A stores a_ij: compare and average entry by entry
+        dmax = float(np.abs(a.values - at.values).max(initial=0.0))
+        total = a.values + at.values
+        # an entry that averages to exactly zero leaves the pattern, as in
+        # triplet assembly
+        nz = total != 0.0
+        kept = np.concatenate([[0], np.cumsum(nz)])
+        sym = CsrMatrix(a.rows, a.cols, kept[a.row_offsets], a.col_indices[nz],
+                        total[nz] * 0.5)
+    else:
+        dmax = float(np.abs(csr_add(a, csr_scale(at, -1.0)).values).max(initial=0.0))
+        sym = csr_scale(csr_add(a, at), 0.5)
+    del at
     if dmax > SYMMETRY_RTOL * amax:
         raise NotSymmetricError(
             f"asymmetry {dmax:.3e} exceeds {SYMMETRY_RTOL:.0e} * max|A| = "
             f"{SYMMETRY_RTOL * amax:.3e}"
         )
-    sym = csr_scale(csr_add(a, at), 0.5)
-    del at   # with A - A^T, freed before the factorization starts
     diag = sym.diagonal()
     if (diag <= 0).any():
         raise ValueError("diagonal must be strictly positive")
@@ -446,6 +445,7 @@ def ichol(a, tau):
         except _PivotBreakdown:
             shift = max(2.0 * shift, 1e-3)
             continue
+        del sym   # freed before L is built from L^T, the peak of the set-up
         return IcFactor(csr_transpose(upper), shift, float(tau), _upper=upper)
     raise CholeskyBreakdownError(f"pivot breakdown persisted at shift {shift:.3e}")
 
@@ -535,10 +535,9 @@ def read_matrix_market(path):
                 vv[k] = float(parts[2])
             except ValueError:
                 raise MatrixMarketError(path, ln + 2 + k, "bad entry") from None
-        try:
-            return csr_from_triplets(rows, cols, (ii, jj, vv))
-        except IndexError:
-            raise MatrixMarketError(path, ln + 1, "entry index out of range") from None
+            if not (0 <= ii[k] < rows and 0 <= jj[k] < cols):
+                raise MatrixMarketError(path, ln + 2 + k, "entry index out of range")
+        return csr_from_triplets(rows, cols, (ii, jj, vv))
     rows, cols = counts
     vals = lines[ln + 1:]
     if len(vals) < rows * cols:

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from schurkit import biot, blocks, precond, verify
 from schurkit.krylov import gmres
-from schurkit.sparse import IcFactor, read_matrix_market, spmv
+from schurkit.sparse import CsrMatrix, IcFactor, read_matrix_market, spmv
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +121,59 @@ class TestAssembly:
         x = rng.uniform(-1, 1, n)
         y = rng.uniform(-1, 1, n)
         assert abs(x @ op.matvec(y) - y @ op.matvec(x)) < 1e-12 * n
+
+
+# sha256 of every BiotAssembly field at N=8: shape, row_offsets,
+# col_indices and values of a CSR block, the array itself for rhs.
+# Recorded while the Dirichlet rows and columns were still removed after
+# assembly, by a submatrix re-assembly.
+ASSEMBLY_DIGESTS = {
+    True: {
+        "a_u": "e846d29d243321bf7de4791c3add533336c95eb9e1046c5adb894cad3ddc9111",
+        "b_uxi": "86dfbd0f964dd718072f26b83f2f46691a28d39a514ca823eede2eb4a83664b6",
+        "b_uxi_t": "049b1983459cecccd0ccf92578ba9b9f1c2ab0bb83d9bb1697fdadbf419dbfa6",
+        "a_xi": "a5ad38db096193a522a540635331eb32041b827f46851332ae9a645bb27c589e",
+        "b_xip": "f7860a4284d682edd5f07b94fe45ac872a4d44b47d7fa1095707ee30cc7efef0",
+        "b_xip_t": "a20329100f9f56b8d2b59be9586a4a5b2b0d5b55902f808731a9c162deef4ec7",
+        "a_p": "b2de9bc0c9180cd69682fc2d4211ef066eea09e8003305fc36a0bf49c1a95c86",
+        "m_xi": "4e034ceaf331abcca3412b35fd92624e1883b6db58e8131a18d443ab985e3159",
+        "m_p": "ab4cfa0df1fdbad020d503e08ddb12df1793d6be4961957d47a56d2fc8ef09f4",
+        "rhs": "b284fca9cf4fbcf7f288928bb90bd3836ea4fbdcbe8f91c64ab8a3e41978b127",
+    },
+    False: {
+        "a_u": "ffa3a9dbca058b84d4081d266cc44fba4ddb3a49dc61c932e9c23847d522a483",
+        "b_uxi": "37b76837c2b3cd7ccd5406010d43e2a566c4bf2c2f2e69b06db4083204199f26",
+        "b_uxi_t": "06a3e06c6548410cacb23b9c8defbd966550a6ae4a91e72d89d5384b60f44dc2",
+        # alpha = 1, so b_xip is a_xi and m_p is m_xi without elimination
+        "a_xi": "a5ad38db096193a522a540635331eb32041b827f46851332ae9a645bb27c589e",
+        "b_xip": "a5ad38db096193a522a540635331eb32041b827f46851332ae9a645bb27c589e",
+        "b_xip_t": "a5ad38db096193a522a540635331eb32041b827f46851332ae9a645bb27c589e",
+        "a_p": "1130dd362bfc0f7ef489c85b6c4b11d84c6874fb1ca4d59789972c264a8edbcf",
+        "m_xi": "4e034ceaf331abcca3412b35fd92624e1883b6db58e8131a18d443ab985e3159",
+        "m_p": "4e034ceaf331abcca3412b35fd92624e1883b6db58e8131a18d443ab985e3159",
+        "rhs": "bed156c53a4dec2d27adf30e376365acb4048cef7c98c01a8a7bd270b5396524",
+    },
+}
+
+
+class TestAssemblyPinned:
+    @pytest.fixture(scope="class", params=[True, False], ids=["bcs", "no_bcs"])
+    def asm8(self, request, params):
+        return request.param, biot.assemble_biot(biot.build_mesh(8), params,
+                                                 apply_bcs=request.param)
+
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_DIGESTS[True]))
+    def test_field_bitwise(self, asm8, name):
+        apply_bcs, asm = asm8
+        v = getattr(asm, name)
+        h = hashlib.sha256()
+        if isinstance(v, CsrMatrix):
+            for arr in (np.array(v.shape, dtype=np.int64), v.row_offsets,
+                        v.col_indices, v.values):
+                h.update(arr.tobytes())
+        else:
+            h.update(v.tobytes())
+        assert h.hexdigest() == ASSEMBLY_DIGESTS[apply_bcs][name]
 
 
 class TestPatch:

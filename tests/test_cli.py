@@ -265,6 +265,15 @@ class TestExportCommand:
     def test_requires_a_source(self):
         assert run(["export", "--out", "/tmp/x"]) == 2
 
+    def test_zero_tail_with_increasing_sizes_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sys"
+        assert run(["export", "--sizes", "2,3", "--zero-tail",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: schurkit export ")
+        assert "zero_tail requires nonincreasing block sizes" in err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_no_command_usage(self):

@@ -131,6 +131,18 @@ class TestMakePreconditioner:
                 (1, 1), [lambda v: v, None], (1, 1))
         assert exc.value.index == 2
 
+    @pytest.mark.parametrize("solves", [None, [], [lambda v: v]])
+    def test_too_few_solvers_name_the_first_missing_block(self, solves):
+        with pytest.raises(precond.MissingSolverError) as exc:
+            precond.BlockDiagonalPreconditioner((1, 1, 1), solves, (1, 1, 1))
+        assert exc.value.index == (len(solves) if solves else 0) + 1
+
+    def test_too_many_solvers(self):
+        with pytest.raises(ValueError, match="3 block solves expected, 4 given") as exc:
+            precond.BlockTriangularPreconditioner(
+                (1, 1, 1), [lambda v: v] * 4, (1, 1, 1), [lambda v: v] * 2, (1, 1))
+        assert not isinstance(exc.value, precond.MissingSolverError)
+
     @pytest.mark.parametrize("name", ["Dn", "Mn", "Pn", "P1", "PD3"])
     def test_nested_preset_rejects_arrowhead(self, name):
         s = blocks.random_system(blocks.SystemOptions(seed=1, sizes=(3, 2, 2)))

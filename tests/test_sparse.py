@@ -263,6 +263,12 @@ class TestIchol:
         with pytest.raises(sparse.NotSymmetricError):
             sparse.ichol(a, 0.0)
 
+    def test_symmetric_pattern_with_asymmetric_values_rejected(self):
+        a = sparse.csr_from_triplets(2, 2, [
+            (0, 0, 2.0), (0, 1, 1.0), (1, 0, 1.0 + 1e-11), (1, 1, 2.0)])
+        with pytest.raises(sparse.NotSymmetricError, match="asymmetry 1.000e-11"):
+            sparse.ichol(a, 0.0)
+
     def test_tiny_asymmetry_averaged(self):
         eps = 1e-14
         a = sparse.csr_from_triplets(2, 2, [
@@ -271,6 +277,69 @@ class TestIchol:
         lo = f.lower.to_dense()
         sym = np.array([[2.0, 1.0 + eps / 2], [1.0 + eps / 2, 2.0]])
         assert np.abs(lo @ lo.T - sym).max() < 1e-12
+
+    # sha256 of row_offsets, col_indices and values of L on the 6x6-grid
+    # Laplacian at tau=0.05, recorded while the symmetry check summed
+    # A - A^T and A + A^T by triplet assembly
+    LAPLACIAN6_L = "14b88e134dddf09f4fc3e5c70032e42748ab6169a91a1dfe30de0ecfdcdbe16a"
+
+    @staticmethod
+    def csr_of(d, mask):
+        """CsrMatrix storing d at every True entry of mask, zeros included."""
+        r, c = np.nonzero(mask)
+        ro = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=d.shape[0]))])
+        return sparse.CsrMatrix(*d.shape, ro, c, d[r, c])
+
+    def test_stored_zeros_leave_the_pattern(self):
+        # stored zeros at the offsets 2..5 from the diagonal, where the
+        # factor of the grid Laplacian fills in, and a pair that averages
+        # to exactly zero: in the pattern of A, fill would not be dropped
+        # there (211 entries instead of 96)
+        base = five_point_laplacian(6)
+        d = base.to_dense()
+        mask = d != 0.0
+        for off in (2, 3, 4, 5):
+            k = np.arange(36 - off)
+            mask[k, k + off] = mask[k + off, k] = True
+        d[0, 7], d[7, 0] = 1e-14, -1e-14
+        mask[0, 7] = mask[7, 0] = True
+        a = self.csr_of(d, mask)
+        assert a.nnz == base.nnz + 262
+        lower = sparse.ichol(a, 0.05).lower
+        assert csr_equal(lower, sparse.ichol(base, 0.05).lower)
+        assert lower.nnz == 96
+        assert sha256_of(lower.row_offsets, lower.col_indices,
+                         lower.values) == self.LAPLACIAN6_L
+
+    def test_symmetric_pattern_within_tolerance_averaged(self):
+        d = five_point_laplacian(6).to_dense()
+        d[4, 3] += 1e-14
+        d[20, 14] -= 3e-15
+        lower = sparse.ichol(self.csr_of(d, d != 0.0), 0.05).lower
+        assert lower.nnz == 96
+        assert sha256_of(lower.row_offsets, lower.col_indices, lower.values) \
+            == "5312bf7276d226861271b40bb32f573ee73ea531093a24e40f13338d4cc15ec5"
+
+    def test_symmetric_pattern_makes_no_triplet_assembly(self, monkeypatch):
+        a = five_point_laplacian(6)
+        want = sparse.ichol(a, 0.05).lower
+
+        def assembly(*args):
+            raise AssertionError("ichol assembled from triplets")
+
+        monkeypatch.setattr(sparse, "csr_from_triplets", assembly)
+        assert csr_equal(sparse.ichol(a, 0.05).lower, want)
+
+    def test_asymmetric_pattern_within_tolerance_averaged(self):
+        # a stored 1e-14 at (3, 20) with no mirror at (20, 3)
+        base = five_point_laplacian(6)
+        a = sparse.csr_from_triplets(36, 36, (np.append(base._row_index(), 3),
+                                              np.append(base.col_indices, 20),
+                                              np.append(base.values, 1e-14)))
+        lower = sparse.ichol(a, 0.05).lower
+        assert lower.nnz == 97
+        assert sha256_of(lower.row_offsets, lower.col_indices, lower.values) \
+            == "0a207c497231b89d78dc751aa0b33e381faf7e7384d8699aab7d79ccef8ea60d"
 
     def test_breakdown_shifts(self):
         # positive diagonal but indefinite: needs shift > 1 to factor
@@ -562,22 +631,6 @@ class TestIcSolve:
             sparse.ic_solve(f, np.ones(4))
 
 
-class TestSubmatrix:
-    def test_against_dense(self):
-        rng = np.random.default_rng(15)
-        a, d = random_csr(rng, 13, 17)
-        # after a plain selection: no rows, and rows 1, 2 and 9, which hold
-        # entries but none in the selected columns
-        for rows, cols in (([0, 2, 5, 12], [1, 3, 4, 16]),
-                           ([], [1, 3, 4, 16]),
-                           ([1, 2, 9], [0, 3, 4, 5])):
-            rows = np.array(rows, dtype=np.int64)
-            cols = np.array(cols, dtype=np.int64)
-            sub = sparse.csr_submatrix(a, rows, cols)
-            assert sub.shape == (rows.size, cols.size)
-            assert np.array_equal(sub.to_dense(), d[np.ix_(rows, cols)])
-
-
 class TestMatrixMarket:
     def test_csr_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(16)
@@ -618,6 +671,16 @@ class TestMatrixMarket:
             with pytest.raises(sparse.MatrixMarketError, match="negative") as exc:
                 sparse.read_matrix_market(p)
             assert exc.value.line == 2
+
+    @pytest.mark.parametrize("entry", ["3 1 5.0", "1 0 5.0"])
+    def test_entry_index_out_of_range_names_its_line(self, tmp_path, entry):
+        p = tmp_path / "range.mtx"
+        p.write_text("%%MatrixMarket matrix coordinate real general\n"
+                     f"% a comment\n2 2 3\n1 1 1.0\n{entry}\n2 2 1.0\n")
+        with pytest.raises(sparse.MatrixMarketError,
+                           match=r"range\.mtx:5: entry index out of range") as exc:
+            sparse.read_matrix_market(p)
+        assert exc.value.line == 5
 
     def test_truncated_entries(self, tmp_path):
         p = tmp_path / "short.mtx"
