@@ -2,7 +2,7 @@
 
 from .blocks import (ArrowheadSystem, BlockTridiagonalSystem, SchurChain,
                      SystemOptions, assemble, assemble_arrowhead, nested_chain,
-                     permute_threeblock, random_system)
+                     random_system)
 from .dense import eigenvalues, lu_factor, lu_solve, spectral_condition
 from .krylov import LinearOperator, SolveStats, gmres
 from .precond import (AdditiveSchur, additive_schur, make_preconditioner,
@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArrowheadSystem", "BlockTridiagonalSystem", "SystemOptions",
-    "assemble", "assemble_arrowhead", "permute_threeblock", "random_system",
+    "assemble", "assemble_arrowhead", "random_system",
     "eigenvalues", "lu_factor", "lu_solve", "spectral_condition",
     "LinearOperator", "SolveStats", "gmres",
     "AdditiveSchur", "SchurChain", "additive_schur", "make_preconditioner",

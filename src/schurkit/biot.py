@@ -346,8 +346,8 @@ def build_biot_preconditioners(assembly, params, tau):
     The trailing complement approximation is negative definite, so its
     negation is factored and the solve is negated back.
     """
-    if tau < 0:
-        raise ValueError("drop tolerance must be >= 0")
+    if not tau >= 0:
+        raise ValueError(f"drop tolerance must be >= 0, got {tau}")
     s_xi, s_p = fourier_schur_approx(assembly, params)
     fac_u = ichol(assembly.a_u, tau)
     fac_xi = ichol(s_xi, tau)

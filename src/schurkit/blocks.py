@@ -237,13 +237,6 @@ def assemble_arrowhead(arrow):
     return assemble(arrow.system)[p][:, p]
 
 
-def permute_threeblock(sys):
-    """Arrowhead view of a three-block system and its permutation indices p,
-    with assemble(sys)[p][:, p] equal to assemble_arrowhead of the view."""
-    arrow = ArrowheadSystem(sys)
-    return arrow, arrow.perm
-
-
 def random_system(opts):
     """Seeded random block-tridiagonal system honoring the option flags.
 

@@ -153,11 +153,23 @@ def _check_sizes(presets, sizes, parser):
         parser.error(f"only {', '.join(pc.N_BLOCK_PRESETS)} take two --sizes")
 
 
+def _size_guard(dims):
+    """Report the first (label, unknowns) row over the desk-scale limit."""
+    for label, dim in dims:
+        if dim > dense.DESK_SIZE_LIMIT:
+            print(f"size guard: {label} has {dim} > {dense.DESK_SIZE_LIMIT} unknowns",
+                  file=sys.stderr)
+            return True
+    return False
+
+
 def cmd_verify(args, parser):
     presets = _resolve_presets(args.preset, parser)
     if args.n is not None and args.n < 2:
         parser.error("--n must be at least 2")
     _check_sizes(presets or verify.DEFAULT_VERIFY_PRESETS, args.sizes, parser)
+    if _size_guard(verify.suite_dims(args.seed, args.sizes, presets, args.n)):
+        return EXIT_GUARD
     rows = verify.run_suite(args.seed, args.sizes, presets=presets,
                             n_sweep=args.n)
     _emit(verify.report_csv_rows(rows), args.out)
@@ -173,12 +185,10 @@ def cmd_spectrum(args, parser):
     if args.n < 2:
         parser.error("--n must be at least 2")
     _check_sizes(presets, args.sizes, parser)
-    for preset in presets:   # three-block presets ignore --n
-        dim = sum(verify.hypothesis_options(preset, args.seed, args.sizes, args.n).sizes)
-        if dim > dense.DESK_SIZE_LIMIT:
-            print(f"size guard: {preset} has {dim} > {dense.DESK_SIZE_LIMIT} unknowns",
-                  file=sys.stderr)
-            return EXIT_GUARD
+    dims = [(p, sum(verify.hypothesis_options(p, args.seed, args.sizes, args.n).sizes))
+            for p in presets]   # three-block presets ignore --n
+    if _size_guard(dims):
+        return EXIT_GUARD
     lines = ["preset,re,im,root_re,root_im,distance"]
     for preset in presets:
         t, _, _ = verify.build_preconditioned(preset, args.seed, args.sizes, n=args.n)
@@ -195,7 +205,7 @@ def cmd_spectrum(args, parser):
 def cmd_biot(args, parser):
     if any(n < 1 for n in args.N):
         parser.error("mesh sizes must be positive")
-    if any(t < 0 for t in args.tau):
+    if not all(t >= 0 for t in args.tau):
         parser.error("drop tolerances must be nonnegative")
     for flag, values in (("--N", args.N), ("--tau", args.tau)):
         if len(set(values)) < len(values):

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .precond import IdentityPreconditioner
-
 
 class GmresBreakdownError(RuntimeError):
     """Arnoldi produced a zero vector with the residual still above tol."""
@@ -41,21 +39,28 @@ class SolveStats:
 def gmres(op, precond, b, tol=1e-8, maxit=500):
     """Solve A x = b with left-preconditioned full GMRES, zero initial guess.
 
-    Stops when ||M^{-1}(b - A x)|| / ||M^{-1} b|| <= tol (tracked through
-    the Givens-updated residual) or after maxit Arnoldi steps.  Happy
+    ``precond`` has ``dim`` and ``apply`` (a ``precond.Preconditioner``),
+    or is None for no preconditioning.  Stops when
+    ||M^{-1}(b - A x)|| / ||M^{-1} b|| <= tol (tracked through the
+    Givens-updated residual) or after maxit Arnoldi steps.  Happy
     breakdown returns the exact solution; breakdown before convergence
     raises GmresBreakdownError.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    if maxit < 0:
+        raise ValueError(f"maxit must be nonnegative, got {maxit}")
     b = np.asarray(b, dtype=float)
     if b.shape != (op.dim,):
         raise ValueError(f"rhs length {b.shape} does not match operator dim {op.dim}")
-    m = precond if precond is not None else IdentityPreconditioner(op.dim)
-    if m.dim != op.dim:
+    if precond is None:   # a copy: the Arnoldi step orthogonalizes w in place
+        apply = lambda v: np.array(v, dtype=float)
+    elif precond.dim != op.dim:
         raise ValueError("preconditioner dimension mismatch")
+    else:
+        apply = precond.apply
     maxit = min(int(maxit), op.dim)
-    r0 = m.apply(b)
+    r0 = apply(b)
     beta = float(np.linalg.norm(r0))
     if beta == 0.0:
         return np.zeros(op.dim), SolveStats(iterations=0, residuals=[0.0],
@@ -83,7 +88,9 @@ def gmres(op, precond, b, tol=1e-8, maxit=500):
         return x
 
     for j in range(maxit):
-        w = m.apply(op.matvec(basis[j]))
+        w = apply(op.matvec(basis[j]))
+        if w.shape != (op.dim,):
+            raise ValueError(f"operator gave shape {w.shape}, expected ({op.dim},)")
         wnorm0 = float(np.linalg.norm(w))
         for i in range(j + 1):
             h[i, j] = float(basis[i] @ w)

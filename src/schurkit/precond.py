@@ -7,7 +7,8 @@ the additive complement S = A_2 + C_1 A_1^{-1} B_1^T + B_2^T A_3^{-1} C_2
 of the arrowhead view of a three-block system.  Every named
 preconditioner is a sign pattern over these blocks: block-diagonal ones
 solve with delta_i * S_i, block-triangular ones add gamma_i * C_i
-subdiagonal coupling.  Presets are data, not code paths.
+subdiagonal coupling with gamma_i = eps_i, which delta determines.
+Presets are data, not code paths.
 """
 
 from __future__ import annotations
@@ -78,12 +79,23 @@ def additive_schur(sys):
 
 
 class Preconditioner:
-    """Base class: an applicable approximate inverse with a block layout."""
+    """Base class: block solves and their signs delta_i over a block layout."""
 
-    def __init__(self, sizes):
+    def __init__(self, sizes, solves, diag_signs):
         self.sizes = tuple(int(s) for s in sizes)
         self.offsets = np.concatenate(([0], np.cumsum(self.sizes)))
         self.dim = int(self.offsets[-1])
+        n = len(self.sizes)
+        solves = list(solves or ())
+        if len(solves) > n:
+            raise ValueError(f"{n} block solves expected, {len(solves)} given")
+        for i, s in enumerate(solves + [None] * (n - len(solves)), start=1):
+            if s is None:
+                raise MissingSolverError(i)
+        if len(diag_signs) != n:
+            raise ValueError("one sign per diagonal block required")
+        self.solves = tuple(solves)
+        self.diag_signs = tuple(int(s) for s in diag_signs)
 
     def _split(self, v):
         """Check a vector (dim,) or block (dim, k) and cut it into block rows."""
@@ -102,24 +114,8 @@ class Preconditioner:
         raise NotImplementedError
 
 
-class IdentityPreconditioner(Preconditioner):
-    def __init__(self, dim):
-        super().__init__((dim,))
-
-    def apply(self, v):
-        return self._split(v)[0].copy()
-
-
 class BlockDiagonalPreconditioner(Preconditioner):
     """Independent signed block solves: y_i = delta_i * solve_i(v_i)."""
-
-    def __init__(self, sizes, solves, diag_signs):
-        super().__init__(sizes)
-        _check_solves(solves, len(self.sizes))
-        if len(diag_signs) != len(self.sizes):
-            raise ValueError("one sign per diagonal block required")
-        self.solves = tuple(solves)
-        self.diag_signs = tuple(int(s) for s in diag_signs)
 
     def apply(self, v):
         parts = self._split(v)
@@ -131,21 +127,16 @@ class BlockTriangularPreconditioner(Preconditioner):
     """Block forward substitution with signed diagonal and subdiagonal.
 
     y_1 = delta_1 solve_1(v_1);
-    y_i = delta_i solve_i(v_i - gamma_{i-1} C_{i-1} y_{i-1}).
+    y_i = delta_i solve_i(v_i - gamma_{i-1} C_{i-1} y_{i-1}),
+    with gamma_i = eps_i (``epsilon_signs`` of the diagonal signs).
     """
 
-    def __init__(self, sizes, solves, diag_signs, sub_matvecs, sub_signs):
-        super().__init__(sizes)
-        nb = len(self.sizes)
-        _check_solves(solves, nb)
-        if len(diag_signs) != nb:
-            raise ValueError("one sign per diagonal block required")
-        if len(sub_matvecs) != nb - 1 or len(sub_signs) != nb - 1:
-            raise ValueError("need n-1 subdiagonal couplings and signs")
-        self.solves = tuple(solves)
-        self.diag_signs = tuple(int(s) for s in diag_signs)
+    def __init__(self, sizes, solves, diag_signs, sub_matvecs):
+        super().__init__(sizes, solves, diag_signs)
+        if len(sub_matvecs) != len(self.sizes) - 1:
+            raise ValueError("need n-1 subdiagonal couplings")
         self.sub_matvecs = tuple(sub_matvecs)
-        self.sub_signs = tuple(int(s) for s in sub_signs)
+        self.sub_signs = epsilon_signs(self.diag_signs)[:-1]
 
     def apply(self, v):
         parts = self._split(v)
@@ -156,22 +147,14 @@ class BlockTriangularPreconditioner(Preconditioner):
         return np.concatenate(out)
 
 
-def _check_solves(solves, n):
-    solves = list(solves or ())
-    if len(solves) > n:
-        raise ValueError(f"{n} block solves expected, {len(solves)} given")
-    for i, s in enumerate(solves + [None] * (n - len(solves)), start=1):
-        if s is None:
-            raise MissingSolverError(i)
-
-
 # ---------------------------------------------------------------------------
 # presets
 
 # A preset is a family plus its diagonal signs delta; the subdiagonal signs
-# of the triangular families, and the predicted spectrum (``verify``),
-# follow from delta through ``epsilon_signs``.  An additive pattern signs
-# its two blocks: the leading aggregate and the Schur corner.
+# of the triangular families (``BlockTriangularPreconditioner``) and the
+# predicted spectrum (``verify``) follow from delta through
+# ``epsilon_signs``.  An additive pattern signs its two blocks: the leading
+# aggregate and the Schur corner.
 _PATTERNS = {
     "P1": ("triangular", (1, -1, 1)),
     "P2": ("triangular", (1, 1, 1)),
@@ -212,13 +195,11 @@ def epsilon_signs(diag_signs):
 
 
 def preset_pattern(name, n=3):
-    """Resolve a preset name to (family, diag_signs, sub_signs).
+    """Resolve a preset name to (family, diag_signs).
 
     family is one of 'triangular', 'diagonal', 'additive-triangular',
     'additive-diagonal'.  For additive families diag_signs covers the two
-    blocks (leading aggregate, Schur corner) and sub_signs the single
-    coupling.  Triangular families take gamma_i = eps_i (``epsilon_signs``);
-    diagonal ones have no coupling.
+    blocks (leading aggregate, Schur corner).
     """
     if name in _N_BLOCK:
         family, r = _N_BLOCK[name]
@@ -229,8 +210,7 @@ def preset_pattern(name, n=3):
         raise UnknownPresetError(f"{name} is a three-block preset, got n={n}")
     else:
         family, diag = _PATTERNS[name]
-    subs = epsilon_signs(diag)[:-1] if family.endswith("triangular") else ()
-    return family, diag, subs
+    return family, diag
 
 
 def _lu_solver(f):
@@ -240,18 +220,6 @@ def _lu_solver(f):
 def _matvec(c):
     m = np.asarray(c, dtype=float)
     return lambda v: m @ v
-
-
-def _blockdiag_solver(factors, sizes):
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-
-    def solve(v):
-        return np.concatenate([
-            dense.lu_solve(f, v[offsets[i]:offsets[i + 1]])
-            for i, f in enumerate(factors)
-        ])
-
-    return solve
 
 
 def make_preconditioner(name, system=None, *, sizes=None, solves=None,
@@ -275,7 +243,7 @@ def make_preconditioner(name, system=None, *, sizes=None, solves=None,
         raise ValueError("need a system, or sizes for inexact mode")
     else:
         n = len(sizes)
-    family, diag_signs, sub_signs = preset_pattern(name, n=n)
+    family, diag_signs = preset_pattern(name, n=n)
     additive = family.startswith("additive")
 
     if system is not None and additive:
@@ -283,10 +251,10 @@ def make_preconditioner(name, system=None, *, sizes=None, solves=None,
             raise TypeError(f"{name} needs an arrowhead system")
         schur = additive_schur(system)
         sizes = system.sizes
-        solves = (
-            _blockdiag_solver(schur.leading_factors, system.leading_sizes),
-            _lu_solver(schur.factor),
-        )
+        leading = BlockDiagonalPreconditioner(
+            system.leading_sizes, [_lu_solver(f) for f in schur.leading_factors],
+            (1, 1))
+        solves = (leading.apply, _lu_solver(schur.factor))
         sub_matvecs = (_matvec(np.hstack(system.border_rows)),)
     elif system is not None:
         sizes = system.sizes
@@ -299,8 +267,7 @@ def make_preconditioner(name, system=None, *, sizes=None, solves=None,
         return BlockDiagonalPreconditioner(sizes, solves, diag_signs)
     if sub_matvecs is None or len(sub_matvecs) != len(sizes) - 1:
         raise MissingSolverError(len(sizes))
-    return BlockTriangularPreconditioner(
-        sizes, solves, diag_signs, sub_matvecs, sub_signs)
+    return BlockTriangularPreconditioner(sizes, solves, diag_signs, sub_matvecs)
 
 
 def preconditioned_matrix(p, system):

@@ -406,8 +406,8 @@ def ichol(a, tau):
     """
     if a.rows != a.cols:
         raise ValueError("matrix must be square")
-    if tau < 0:
-        raise ValueError("drop tolerance must be >= 0")
+    if not tau >= 0:
+        raise ValueError(f"drop tolerance must be >= 0, got {tau}")
     at = csr_transpose(a)
     amax = float(np.abs(a.values).max(initial=0.0))
     if (np.array_equal(at.row_offsets, a.row_offsets)
@@ -537,6 +537,7 @@ def read_matrix_market(path):
                 raise MatrixMarketError(path, ln + 2 + k, "bad entry") from None
             if not (0 <= ii[k] < rows and 0 <= jj[k] < cols):
                 raise MatrixMarketError(path, ln + 2 + k, "entry index out of range")
+        _check_no_extra(path, lines, ln + 1 + nnz)
         return csr_from_triplets(rows, cols, (ii, jj, vv))
     rows, cols = counts
     vals = lines[ln + 1:]
@@ -552,4 +553,12 @@ def read_matrix_market(path):
             except ValueError:
                 raise MatrixMarketError(path, ln + 2 + k, "bad value") from None
             k += 1
+    _check_no_extra(path, lines, ln + 1 + rows * cols)
     return m
+
+
+def _check_no_extra(path, lines, start):
+    """Reject a non-blank line past the declared entries (0-based ``start``)."""
+    for k in range(start, len(lines)):
+        if lines[k].strip():
+            raise MatrixMarketError(path, k + 1, "entry past the declared count")

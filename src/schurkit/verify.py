@@ -18,8 +18,8 @@ import numpy as np
 
 from . import dense
 from . import precond as pc
-from .blocks import (SystemOptions, assemble, assemble_arrowhead,
-                     permute_threeblock, random_system)
+from .blocks import (ArrowheadSystem, SystemOptions, assemble,
+                     assemble_arrowhead, random_system)
 
 ANNIHILATION_TOL = 1e-9
 MEMBERSHIP_TOL_COMPUTED = 1e-7
@@ -94,7 +94,7 @@ def _preset_signs(preset, n):
         n = 3
     elif n is None:
         raise ValueError(f"{preset} needs n")
-    return pc.preset_pattern(preset, n=n)[:2]
+    return pc.preset_pattern(preset, n=n)
 
 
 def predicted_polynomial(preset, n=None):
@@ -295,7 +295,7 @@ def build_preconditioned(preset, seed, sizes, n=None):
     opts = hypothesis_options(preset, seed, sizes, n=n)
     sys3 = random_system(opts)
     if preset in pc.ADDITIVE_PRESETS:
-        system, _ = permute_threeblock(sys3)
+        system = ArrowheadSystem(sys3)
         a = assemble_arrowhead(system)
     else:
         system = sys3
@@ -356,7 +356,10 @@ def verify_preset(preset, seed, sizes, n=None):
                        passed=ok, detail=detail)
 
 
-def verify_ldu(seed, sizes, n_range=range(2, 9)):
+LDU_RANGE = range(2, 9)
+
+
+def verify_ldu(seed, sizes, n_range=LDU_RANGE):
     """LDU reconstruction rows: relative Frobenius error per block count."""
     rows = []
     for n in n_range:
@@ -390,10 +393,10 @@ def verify_routh(k_max=12):
     return rows
 
 
-def run_suite(seed, sizes, presets=None, n_sweep=None):
-    """Full verification sweep; returns PresetCheck rows.
+def suite_presets(presets=None, n_sweep=None):
+    """(preset, n) of each preset row of ``run_suite``, in its order.
 
-    presets=None runs DEFAULT_VERIFY_PRESETS; an empty selection is an
+    presets=None selects DEFAULT_VERIFY_PRESETS; an empty selection is an
     error.  An n sweep adds rows for every n-block family (Mn included) at
     each n = 2..n_sweep, so n_sweep must be at least 2.
     """
@@ -403,11 +406,25 @@ def run_suite(seed, sizes, presets=None, n_sweep=None):
         presets = DEFAULT_VERIFY_PRESETS + (("Mn",) if n_sweep else ())
     elif not presets:
         raise ValueError("empty preset selection")
-    rows = []
-    for preset in presets:
-        sweep = n_sweep and preset in pc.N_BLOCK_PRESETS
-        for nn in (range(2, n_sweep + 1) if sweep else (3,)):
-            rows.append(verify_preset(preset, seed, sizes, n=nn))
+    return [(preset, nn) for preset in presets
+            for nn in (range(2, n_sweep + 1)
+                       if n_sweep and preset in pc.N_BLOCK_PRESETS else (3,))]
+
+
+def suite_dims(seed, sizes, presets=None, n_sweep=None):
+    """(row label, unknowns) of each system ``run_suite`` generates, in order."""
+    dims = [(preset, sum(hypothesis_options(preset, seed, sizes, n=nn).sizes))
+            for preset, nn in suite_presets(presets, n_sweep)]
+    return dims + [(f"ldu n={n}", sum(_cycle_sizes(sizes, n))) for n in LDU_RANGE]
+
+
+def run_suite(seed, sizes, presets=None, n_sweep=None):
+    """Full verification sweep; returns PresetCheck rows.
+
+    The preset rows (``suite_presets``), then the LDU and Routh rows.
+    """
+    rows = [verify_preset(preset, seed, sizes, n=nn)
+            for preset, nn in suite_presets(presets, n_sweep)]
     rows.extend(verify_ldu(seed, sizes))
     rows.extend(verify_routh())
     return rows

@@ -63,41 +63,41 @@ class TestAssemble:
 
 class TestPermuteThreeblock:
     def test_scalar_example(self):
-        arrow, perm = blocks.permute_threeblock(scalar_threeblock())
+        arrow = blocks.ArrowheadSystem(scalar_threeblock())
         m = blocks.assemble_arrowhead(arrow)
         assert np.array_equal(m, [[1, 0, 1], [0, 1, 1], [1, 1, -1]])
-        assert list(perm) == [0, 2, 1]
+        assert list(arrow.perm) == [0, 2, 1]
 
     def test_permutation_commutes_bitwise(self):
         opts = blocks.SystemOptions(seed=22, sizes=(4, 3, 2))
         sys3 = blocks.random_system(opts)
-        arrow, perm = blocks.permute_threeblock(sys3)
+        arrow = blocks.ArrowheadSystem(sys3)
+        perm = arrow.perm
         a = blocks.assemble(sys3)
         assert np.array_equal(a[perm][:, perm], blocks.assemble_arrowhead(arrow))
 
     def test_involution(self):
         opts = blocks.SystemOptions(seed=23, sizes=(2, 5, 3))
         sys3 = blocks.random_system(opts)
-        arrow, perm = blocks.permute_threeblock(sys3)
+        arrow = blocks.ArrowheadSystem(sys3)
         m = blocks.assemble_arrowhead(arrow)
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(perm.size)
+        inv = np.empty_like(arrow.perm)
+        inv[arrow.perm] = np.arange(arrow.perm.size)
         assert np.array_equal(m[inv][:, inv], blocks.assemble(sys3))
 
     def test_view_reads_the_three_block_system(self):
         sys3 = blocks.random_system(blocks.SystemOptions(seed=25, sizes=(2, 3, 4)))
-        arrow, perm = blocks.permute_threeblock(sys3)
+        arrow = blocks.ArrowheadSystem(sys3)
         assert [f.name for f in dataclasses.fields(arrow)] == ["system"]
         assert arrow.system is sys3
         assert arrow.leading[0] is sys3.diag[0] and arrow.leading[1] is sys3.diag[2]
         assert arrow.corner is sys3.diag[1]
         assert arrow.leading_sizes == (2, 4) and arrow.sizes == (6, 3)
-        assert np.array_equal(perm, arrow.perm)
 
     def test_wrong_block_count(self):
         opts = blocks.SystemOptions(seed=1, sizes=(2, 2))
         with pytest.raises(ValueError):
-            blocks.permute_threeblock(blocks.random_system(opts))
+            blocks.ArrowheadSystem(blocks.random_system(opts))
 
 
 class TestAssembleArrowhead:

@@ -12,6 +12,25 @@ from schurkit import cli
 
 SEED6_SWEEP = ["verify", "--n", "8", "--sizes", "9,7,5", "--seed", "6"]
 
+# sha256 of `schurkit spectrum --preset <name> --seed 0 --sizes 4,3,2` stdout
+SPECTRUM_SEED0 = {
+    "P1": "fb5fbae6f6af95c6fbfa5cef3800e3799cf667cfb3589e84c5e9dfd53313c4e9",
+    "P2": "4089a0c429432ab71c01d0e0f498a202ab48c9825b99bbe7de072001076b4d48",
+    "P3": "7e2cb598923be4cf14d0e0024509429b8e1bb288ba380852fe138b1c66d29b3c",
+    "P4": "dd1a9a159389b80760a5310e7019a9e985bab675d18095f475c645af46ac8a78",
+    "PD1": "e831b0d029e845e763deca2f8bfb25428499df433dca8ded5de57ad59bf1a532",
+    "PD2": "d1b3490da7a484bde3240a01d24170785cbc86c8a73766153752b75614a60246",
+    "PD3": "45b2730025377babf8696a1fa305551b7bb4acfe062eeaa4acea4038b16dcb17",
+    "PD4": "e04f8dd6f13f768758731d8b578a78a33dad541f87fb790f8457ebdecc02ed35",
+    "Pn": "e8d5701c236a2b1a5fcb19eebdc87365e6e1a3ee7d8bbf30df08ebf742d00eee",
+    "Dn": "c05a36cec72cea3265adf9b10a4b004883ca8c7d92aed5b0888ffca3099d77d8",
+    "Mn": "0f68190aa2cdd0198a6d0b51d878b055d19bf69b0a43ca2700070fcb8ec2199e",
+    "Q1": "3ecaf0fafb726e9356c1b17576b3f75526d19365eb0bfe8816ab3e5b7833ccdd",
+    "Q2": "98e2484a5557a13a60ae4d8095fdfbe8ca58b110b2ffabef0240c26413d016f0",
+    "QD1": "c9e8b7b301eb82c13b2648a51785121c0c032b345ff72138f12bb900da8ebaf0",
+    "QD2": "8d409fac5ef90bd8505454aa6e683b60eeea3acbd0ce68270478818331135634",
+}
+
 
 def run(argv):
     try:
@@ -48,6 +67,20 @@ class TestVerifyCommand:
             assert f"Pn(n={n})" in text
             assert f"Dn(n={n})" in text
             assert f"Mn(n={n})" in text
+
+    def test_size_guard_before_generation(self, capsys):
+        # Pn cycles 300,300 over n blocks: n=7 is the first over the limit
+        assert run(["verify", "--preset", "Pn", "--n", "8",
+                    "--sizes", "300,300"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "size guard: Pn has 2100 > 2000 unknowns\n"
+        assert captured.out == ""
+
+    def test_size_guard_covers_ldu_rows(self, capsys):
+        # every preset row has 900 unknowns; the LDU row at n=7 has 2100
+        assert run(["verify", "--sizes", "300,300,300"]) == 3
+        assert capsys.readouterr().err == (
+            "size guard: ldu n=7 has 2100 > 2000 unknowns\n")
 
     def test_explicit_mn_sweep(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -150,6 +183,14 @@ class TestSpectrumCommand:
                     "--n", "70", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 90
 
+    @pytest.mark.parametrize("preset", sorted(SPECTRUM_SEED0))
+    def test_seed0_stdout_pinned(self, preset, capsys):
+        # every eigenvalue, predicted root and distance digit of the preset
+        assert run(["spectrum", "--preset", preset, "--seed", "0",
+                    "--sizes", "4,3,2"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == SPECTRUM_SEED0[preset]
+
     def test_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(["spectrum", "--preset", "PD3,QD1", "--seed", "5", "--out", str(a)])
@@ -228,7 +269,8 @@ class TestBiotCommand:
     @pytest.mark.parametrize("argv", [
         ["--tol", "0"], ["--tol=-1e-6"], ["--maxit", "0"],
         ["--N", "4,4", "--check-ordering"], ["--N", "4,6,4"],
-        ["--tau", "1e-3,1e-3"], ["--tau", "1e-3,0.001", "--format", "csv"]])
+        ["--tau", "1e-3,1e-3"], ["--tau", "1e-3,0.001", "--format", "csv"],
+        ["--tau", "nan"], ["--tau", "1e-3,nan"]])
     def test_bad_solver_setting_is_usage_error(self, argv):
         assert run(["biot", "--N", "4"] + argv) == 2
 

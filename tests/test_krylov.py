@@ -87,6 +87,14 @@ class TestGmres:
             gmres.gmres(op, None, np.ones(4), tol=1e-8, maxit=5)
         with pytest.raises(ValueError):
             gmres.gmres(op, None, np.ones(3), tol=0.0, maxit=5)
+        with pytest.raises(ValueError, match="tolerance"):
+            gmres.gmres(op, None, np.ones(3), tol=float("nan"), maxit=5)
+        with pytest.raises(ValueError, match="maxit"):
+            gmres.gmres(op, None, np.ones(3), tol=1e-8, maxit=-1)
+        # without a preconditioner nothing else checks the matvec's length
+        short = gmres.LinearOperator(3, lambda v: v[:2])
+        with pytest.raises(ValueError, match="operator gave shape"):
+            gmres.gmres(short, None, np.ones(3), tol=1e-8, maxit=5)
 
 
 DEGREE_BOUNDS = [
@@ -113,7 +121,7 @@ class TestFiniteTermination:
     ])
     def test_additive_presets(self, name, degree, flags):
         s = make_system(56, (6, 4, 5), **flags)
-        arrow, _ = blocks.permute_threeblock(s)
+        arrow = blocks.ArrowheadSystem(s)
         a = blocks.assemble_arrowhead(arrow)
         op = gmres.LinearOperator(len(a), lambda v: a @ v)
         p = precond.make_preconditioner(name, arrow)
@@ -140,7 +148,7 @@ class TestFiniteTermination:
             p = precond.make_preconditioner("P1", s)
             b = np.ones(op.dim)
             _, st_nested = gmres.gmres(op, p, b, tol=1e-12, maxit=40)
-            arrow, _ = blocks.permute_threeblock(s)
+            arrow = blocks.ArrowheadSystem(s)
             aq = blocks.assemble_arrowhead(arrow)
             opq = gmres.LinearOperator(len(aq), lambda v: aq @ v)
             q = precond.make_preconditioner("Q1", arrow)

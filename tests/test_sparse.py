@@ -219,6 +219,12 @@ class TestTranspose:
 
 
 class TestIchol:
+    @pytest.mark.parametrize("tau", [-1e-3, float("nan")])
+    def test_bad_drop_tolerance(self, tau):
+        a = sparse.csr_from_triplets(2, 2, [(0, 0, 4.0), (1, 1, 9.0)])
+        with pytest.raises(ValueError, match="drop tolerance"):
+            sparse.ichol(a, tau)
+
     def test_diagonal_matrix(self):
         a = sparse.csr_from_triplets(2, 2, [(0, 0, 4.0), (1, 1, 9.0)])
         f = sparse.ichol(a, 0.7)
@@ -681,6 +687,25 @@ class TestMatrixMarket:
                            match=r"range\.mtx:5: entry index out of range") as exc:
             sparse.read_matrix_market(p)
         assert exc.value.line == 5
+
+    @pytest.mark.parametrize("text,line", [
+        ("%%MatrixMarket matrix coordinate real general\n"
+         "2 2 1\n1 1 1.0\n2 2 5.0\n", 4),
+        ("%%MatrixMarket matrix array real general\n"
+         "1 2\n1.0\n2.0\n\n3.0\n", 6)], ids=["coordinate", "array"])
+    def test_entries_past_the_count(self, tmp_path, text, line):
+        p = tmp_path / "extra.mtx"
+        p.write_text(text)
+        with pytest.raises(sparse.MatrixMarketError,
+                           match="entry past the declared count") as exc:
+            sparse.read_matrix_market(p)
+        assert exc.value.line == line
+
+    def test_trailing_blank_lines(self, tmp_path):
+        p = tmp_path / "blank.mtx"
+        p.write_text("%%MatrixMarket matrix array real general\n"
+                     "2 1\n1.0\n2.0\n\n  \n")
+        assert np.array_equal(sparse.read_matrix_market(p), [[1.0], [2.0]])
 
     def test_truncated_entries(self, tmp_path):
         p = tmp_path / "short.mtx"

@@ -84,8 +84,12 @@ class TestOracle:
 
     @pytest.mark.parametrize("name", precond.PRESET_NAMES)
     def test_preset_pattern(self, name):
-        for n, _, pattern in oracle_cases(name):
-            assert precond.preset_pattern(name, n=n or 3) == pattern, (name, n)
+        # the triangular families' subdiagonal signs are eps_1..eps_{n-1}
+        for n, _, (family, diag, subs) in oracle_cases(name):
+            assert precond.preset_pattern(name, n=n or 3) == (family, diag), (name, n)
+            derived = (precond.epsilon_signs(diag)[:-1]
+                       if family.endswith("triangular") else ())
+            assert derived == subs, (name, n)
 
     @pytest.mark.parametrize("name", precond.PRESET_NAMES)
     def test_stability_flag(self, name):
@@ -128,8 +132,7 @@ class TestSignPatterns:
                     p = precond.BlockDiagonalPreconditioner(s.sizes, solves, diag)
                 else:
                     p = precond.BlockTriangularPreconditioner(
-                        s.sizes, solves, diag, couplings,
-                        precond.epsilon_signs(diag)[:-1])
+                        s.sizes, solves, diag, couplings)
                 t = precond.preconditioned_matrix(p, a)
                 r = verify.annihilation_residual(t, verify.pattern_factors(family, diag))
                 if not r <= verify.ANNIHILATION_TOL:
