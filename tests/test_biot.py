@@ -349,6 +349,50 @@ class TestBenchmark:
         assert not any("shift" in note for note in notes[1e-2])
 
 
+@pytest.fixture(scope="module")
+def cell16(params):
+    """The N=16, tau=1e-3 benchmark cell: operator, rhs and the presets."""
+    asm = biot.assemble_biot(biot.build_mesh(16), params)
+    return (biot.biot_operator(asm), asm.rhs,
+            biot.build_biot_preconditioners(asm, params, 1e-3))
+
+
+# sha256 of SolveStats.residuals (as float64) and of x, per preset, for
+# gmres at N=16, tau=1e-3 and BENCH_TOL.  Recorded while gmres was one
+# inline loop.  The 2,590 unknowns are below the length at which
+# OpenBLAS splits dots and norms across threads, so the bits do not
+# depend on the BLAS thread count.
+SOLVE_DIGESTS = {
+    "PD1": ("b633255edd0dcea4b97839af2247553d712f8795dd76029530491cb0cbb66637",
+            "1e051ddbed666bef52fbf979a08fd0394d18ff4cf12eec2f5aae65d433d15033"),
+    "PD2": ("e6aff9c752083aafac86524eac594aa4797d1d0c4cfa081c2083ecb90085886a",
+            "5e3cb2ce2ab2a3f1a7113aea01d94543b0828931bdb29ad1420aa381eca10620"),
+    "PD3": ("b6107c91d332bbe22c018cef182cfcda5c48edca2d9becfebd4c4161fc3ecd69",
+            "a12956a5b3cc8254167cf736be75c79bb64a39ab86a11ef74c9e2917869dd247"),
+    "PD4": ("59a50f9b9ad6f9f7f1dca79cfa62177bc84209b6e751c62bd48306e94987d122",
+            "05a6b980cbd18f2e2ff8370887ca97dc1fd19c01795f2b8ac98fe2b8442b1a6d"),
+    "P1": ("ca85059856ba0665009997b56980dfadcd13fc9151e0ed6e61c621751aa9d0c7",
+           "10bbf8f67c042abed8da523692694da992d05c8d4cc0752da7f90643348a9caa"),
+    "P2": ("070ff3a13d2e941b087c64a6a5fcf4add2a763fc9a77dd9985741d69a233d387",
+           "b2276ae290e710782d9e7f40f4a8f3d3f00b6a6929d3a63dd3ab3ffe5695a5f5"),
+    "P3": ("060ea4d8cdbb22a22b18301df966b49b526a5ba4ce5f77ecd916703bf9eac06c",
+           "c406e0cda7d595a46e5a6db615f8a3ab198f549faab255f63483aae258562866"),
+    "P4": ("a7e9844d272781c0052da8ad693a3f2acf2208470a2b4c67076e79b475d02ffc",
+           "688376ec92ff7563471e1499df07fdd8cb543ccc499e82fef07012ba464c69cd"),
+}
+
+
+class TestSolvePinned:
+    @pytest.mark.parametrize("name", biot.BENCH_COLUMNS)
+    def test_history_and_solution_bitwise(self, cell16, name):
+        op, rhs, pres = cell16
+        x, stats = gmres(op, pres[name], rhs, tol=biot.BENCH_TOL, maxit=1500)
+        assert stats.converged
+        got = (hashlib.sha256(np.array(stats.residuals).tobytes()).hexdigest(),
+               hashlib.sha256(x.tobytes()).hexdigest())
+        assert got == SOLVE_DIGESTS[name]
+
+
 class TestExport:
     def test_round_trip(self, asm4, tmp_path):
         manifest = biot.export_blocks(asm4, tmp_path / "blocks")
