@@ -1,15 +1,17 @@
 """Full GMRES with left preconditioning over an abstract operator.
 
-Non-restarted Arnoldi with modified Gram-Schmidt and Givens rotations;
-the rotation-updated residual norm is the stopping quantity, so the
-history is monotone without extra matvecs.  Iteration tables (systems by
-preconditioners) can be emitted as CSV or aligned Markdown.
+``arnoldi`` yields the steps of non-restarted Arnoldi with modified
+Gram-Schmidt and Givens rotations, each with the rotation-updated
+residual norm as its estimate, so the history is monotone without extra
+matvecs; ``gmres`` is a stopping rule over those steps.  Iteration tables
+(systems by preconditioners) can be emitted as CSV or aligned Markdown.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -36,18 +38,16 @@ class SolveStats:
     converged: bool = False
 
 
-def gmres(op, precond, b, tol=1e-8, maxit=500):
-    """Solve A x = b with left-preconditioned full GMRES, zero initial guess.
+def arnoldi(op, precond, b, maxit):
+    """Yield the steps of left-preconditioned GMRES from a zero initial guess.
 
-    ``precond`` has ``dim`` and ``apply`` (a ``precond.Preconditioner``),
-    or is None for no preconditioning.  Stops when
-    ||M^{-1}(b - A x)|| / ||M^{-1} b|| <= tol (tracked through the
-    Givens-updated residual) or after maxit Arnoldi steps.  Happy
-    breakdown returns the exact solution; breakdown before convergence
-    raises GmresBreakdownError.
+    ``precond`` is a ``precond.Preconditioner`` or None.  Step k <= maxit
+    is (k, estimate, breakdown, solution): the Givens estimate of
+    ||M^{-1}(b - A x_k)|| / ||M^{-1} b||, whether the Arnoldi vector
+    vanished (no step follows), and a callable forming x_k that stays
+    valid after later steps.  Step 0 has estimate 1.0, or 0.0 with
+    breakdown when M^{-1} b = 0.  Arguments are checked at the first step.
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     if maxit < 0:
         raise ValueError(f"maxit must be nonnegative, got {maxit}")
     b = np.asarray(b, dtype=float)
@@ -60,20 +60,9 @@ def gmres(op, precond, b, tol=1e-8, maxit=500):
     else:
         apply = precond.apply
     maxit = min(int(maxit), op.dim)
-    r0 = apply(b)
-    beta = float(np.linalg.norm(r0))
-    if beta == 0.0:
-        return np.zeros(op.dim), SolveStats(iterations=0, residuals=[0.0],
-                                            converged=True)
-    basis = [r0 / beta]
-    h = np.zeros((maxit + 1, maxit))
-    cs = np.zeros(maxit)
-    sn = np.zeros(maxit)
-    g = np.zeros(maxit + 1)
-    g[0] = beta
-    history = [1.0]
 
     def solution(k):
+        # rows and columns below k are final once step k is taken
         y = np.zeros(k)
         for i in range(k - 1, -1, -1):
             s = g[i] - h[i, i + 1:k] @ y[i + 1:k]
@@ -87,6 +76,17 @@ def gmres(op, precond, b, tol=1e-8, maxit=500):
             x += y[i] * basis[i]
         return x
 
+    r0 = apply(b)
+    beta = float(np.linalg.norm(r0))
+    yield 0, float(beta != 0.0), beta == 0.0, partial(solution, 0)
+    if beta == 0.0:
+        return
+    basis = [r0 / beta]
+    h = np.zeros((maxit + 1, maxit))
+    cs = np.zeros(maxit)
+    sn = np.zeros(maxit)
+    g = np.zeros(maxit + 1)
+    g[0] = beta
     for j in range(maxit):
         w = apply(op.matvec(basis[j]))
         if w.shape != (op.dim,):
@@ -112,20 +112,32 @@ def gmres(op, precond, b, tol=1e-8, maxit=500):
         h[j + 1, j] = 0.0
         g[j + 1] = -sn[j] * g[j]
         g[j] = cs[j] * g[j]
-        rel = abs(g[j + 1]) / beta
-        history.append(rel)
         happy = hj1 <= 1e-14 * max(wnorm0, 1e-300)
-        if rel <= tol or happy:
-            x = solution(j + 1)
-            if happy and rel > tol:
-                raise GmresBreakdownError(
-                    f"Arnoldi breakdown at step {j + 1} with residual {rel:.3e}"
-                )
-            return x, SolveStats(iterations=j + 1, residuals=history,
-                                 converged=True)
+        yield j + 1, abs(g[j + 1]) / beta, happy, partial(solution, j + 1)
+        if happy:
+            return
         basis.append(w / hj1)
-    x = solution(maxit)
-    return x, SolveStats(iterations=maxit, residuals=history, converged=False)
+
+
+def gmres(op, precond, b, tol=1e-8, maxit=500):
+    """Solve A x = b with left-preconditioned full GMRES, zero initial guess.
+
+    Stops at the first step k >= 1 of ``arnoldi`` with estimate <= tol, or
+    after maxit steps.  Happy breakdown returns the exact solution;
+    breakdown before convergence raises GmresBreakdownError.
+    """
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    history = []
+    for k, estimate, breakdown, solution in arnoldi(op, precond, b, maxit):
+        history.append(estimate)
+        if breakdown or (k > 0 and estimate <= tol):
+            x = solution()
+            if estimate > tol:
+                raise GmresBreakdownError(
+                    f"Arnoldi breakdown at step {k} with residual {estimate:.3e}")
+            return x, SolveStats(iterations=k, residuals=history, converged=True)
+    return solution(), SolveStats(iterations=k, residuals=history, converged=False)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from schurkit import biot, blocks, precond, verify
-from schurkit.krylov import gmres
+from schurkit.krylov import arnoldi, gmres
 from schurkit.sparse import CsrMatrix, IcFactor, read_matrix_market, spmv
 
 
@@ -391,6 +391,70 @@ class TestSolvePinned:
         got = (hashlib.sha256(np.array(stats.residuals).tobytes()).hexdigest(),
                hashlib.sha256(x.tobytes()).hexdigest())
         assert got == SOLVE_DIGESTS[name]
+
+
+def true_residual_count(op, pre, b, tol, maxit=1500):
+    """First step whose x_k has ||b - A x_k|| / ||b|| <= tol, else None."""
+    norm_b = np.linalg.norm(b)
+    for k, _, _, solution in arnoldi(op, pre, b, maxit):
+        if np.linalg.norm(b - op.matvec(solution())) <= tol * norm_b:
+            return k
+    return None
+
+
+def restarted_count(op, pre, b, m, tol=biot.BENCH_TOL, maxit=1500):
+    """GMRES(m) steps until the preconditioned relative residual of the
+    iterate is <= tol by the Givens estimate, else None.
+
+    Each cycle walks ``arnoldi`` on the true residual r, and its estimate
+    is relative to ||M^{-1} r||, so it is scaled to ||M^{-1} b||.
+    """
+    x = np.zeros(op.dim)
+    scale = np.linalg.norm(pre.apply(b))
+    total = 0
+    while total < maxit:
+        r = b - op.matvec(x)
+        ratio = np.linalg.norm(pre.apply(r)) / scale
+        for k, estimate, breakdown, solution in arnoldi(op, pre, r,
+                                                         min(m, maxit - total)):
+            if (k > 0 or breakdown) and estimate * ratio <= tol:
+                return total + k
+        x = x + solution()
+        total += k
+    return None
+
+
+def family_counts(counts):
+    """(PD1..PD4, P1..P4) in table order."""
+    return (tuple(counts[name] for name in biot.BENCH_COLUMNS[:4]),
+            tuple(counts[name] for name in biot.BENCH_COLUMNS[4:]))
+
+
+class TestStoppingRules:
+    """Other stopping rules over the steps ``gmres`` takes, at N=16, tau=1e-3."""
+
+    def test_equal_true_accuracy_keeps_the_winners(self, cell16):
+        # every preset stopped at the same unpreconditioned accuracy
+        op, rhs, pres = cell16
+        counts = {name: true_residual_count(op, pres[name], rhs, biot.BENCH_TOL)
+                  for name in biot.BENCH_COLUMNS}
+        assert family_counts(counts) == ((46, 49, 42, 71), (21, 40, 40, 39))
+        cells = {(16, 1e-3, name): c for name, c in counts.items()}
+        assert biot.ordering_violations(cells, [16], [1e-3]) == []
+
+    @pytest.mark.parametrize("m,want", [
+        (5, ((128, 120, 67, 169), (33, 99, 93, 77))),
+        (20, ((55, 55, 42, 115), (19, 43, 42, 47))),
+        # one cycle is full GMRES: the README row
+        (1500, ((41, 42, 37, 61), (19, 38, 38, 33))),
+    ])
+    def test_restarted_counts_keep_the_winners(self, cell16, m, want):
+        op, rhs, pres = cell16
+        counts = {name: restarted_count(op, pres[name], rhs, m)
+                  for name in biot.BENCH_COLUMNS}
+        assert family_counts(counts) == want
+        cells = {(16, 1e-3, name): c for name, c in counts.items()}
+        assert biot.ordering_violations(cells, [16], [1e-3]) == []
 
 
 class TestExport:

@@ -97,6 +97,65 @@ class TestGmres:
             gmres.gmres(short, None, np.ones(3), tol=1e-8, maxit=5)
 
 
+class TestArnoldi:
+    """The step generator that ``gmres`` is a stopping rule over."""
+
+    @staticmethod
+    def dense_op(seed, n=30):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1.0, 1.0, (n, n)) + 6 * np.eye(n)
+        return gmres.LinearOperator(n, lambda v: a @ v), rng.uniform(-1, 1, n)
+
+    def test_estimates_are_the_gmres_history(self):
+        op, b = self.dense_op(58)
+        steps = list(gmres.arnoldi(op, None, b, 4))
+        _, stats = gmres.gmres(op, None, b, tol=1e-14, maxit=4)
+        assert [s[0] for s in steps] == [0, 1, 2, 3, 4]
+        assert [s[1] for s in steps] == stats.residuals
+        assert not any(s[2] for s in steps)
+
+    def test_solution_stays_valid_after_later_steps(self):
+        op, b = self.dense_op(59)
+        steps = gmres.arnoldi(op, None, b, 10)
+        solutions = [next(steps)[3] for _ in range(4)]
+        x3 = solutions[3]()
+        assert len(list(steps)) == 7   # steps 4..10 extend the basis
+        assert np.array_equal(solutions[3](), x3)
+        assert np.array_equal(solutions[0](), np.zeros(op.dim))
+        x, stats = gmres.gmres(op, None, b, tol=1e-14, maxit=3)
+        assert np.array_equal(x, x3)
+        # the estimate is the true residual norm of x_3, up to rounding
+        r = np.linalg.norm(b - op.matvec(x3)) / np.linalg.norm(b)
+        assert abs(r - stats.residuals[-1]) <= 1e-12
+
+    def test_zero_rhs_is_one_breakdown_step(self):
+        op = gmres.LinearOperator(3, lambda v: v)
+        (k, estimate, breakdown, solution), = gmres.arnoldi(op, None,
+                                                            np.zeros(3), 5)
+        assert (k, estimate, breakdown) == (0, 0.0, True)
+        assert np.array_equal(solution(), np.zeros(3))
+
+    def test_maxit_zero_yields_only_step_zero(self):
+        op, b = self.dense_op(60)
+        steps = list(gmres.arnoldi(op, None, b, 0))
+        assert [s[:3] for s in steps] == [(0, 1.0, False)]
+        x, stats = gmres.gmres(op, None, b, maxit=0)
+        assert (stats.iterations, stats.residuals, stats.converged) == (0, [1.0], False)
+        assert np.array_equal(x, np.zeros(op.dim))
+
+    def test_no_step_follows_a_breakdown(self):
+        a = np.diag([1.0, 2.0, 3.0, 4.0])
+        op = gmres.LinearOperator(4, lambda v: a @ v)
+        steps = list(gmres.arnoldi(op, None, np.array([1.0, 1.0, 0.0, 0.0]), 10))
+        assert [s[2] for s in steps] == [False, False, True]
+
+    def test_arguments_checked_at_the_first_step(self):
+        op = gmres.LinearOperator(3, lambda v: v)
+        steps = gmres.arnoldi(op, None, np.ones(4), 5)
+        with pytest.raises(ValueError, match="rhs length"):
+            next(steps)
+
+
 DEGREE_BOUNDS = [
     ("P1", 3, {}), ("P2", 3, {}), ("P3", 3, {}), ("P4", 3, {}),
     ("PD1", 6, {"zero_tail": True}), ("PD2", 6, {"zero_tail": True}),
