@@ -201,6 +201,8 @@ class SystemOptions:
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if len(self.sizes) < 2:
             raise ValueError("need at least two block sizes")
         if any(s < 1 for s in self.sizes):

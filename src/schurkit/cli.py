@@ -25,28 +25,30 @@ EXIT_GUARD = 3
 EXIT_IO = 4
 
 
+def _parse_list(cast, kind):
+    def parse(text):
+        try:
+            return tuple(cast(s) for s in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {kind} list {text!r}") from None
+    return parse
+
+
 def _parse_sizes(text):
-    try:
-        sizes = tuple(int(s) for s in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad size list {text!r}") from None
+    sizes = _parse_list(int, "size")(text)
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise argparse.ArgumentTypeError("need at least two positive sizes")
     return sizes
 
 
-def _parse_int_list(text):
+def _parse_seed(text):
     try:
-        return tuple(int(s) for s in text.split(","))
+        seed = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from None
-
-
-def _parse_float_list(text):
-    try:
-        return tuple(float(s) for s in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from None
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    return seed
 
 
 def build_parser():
@@ -64,7 +66,7 @@ def build_parser():
         "CSV columns: kind,name,seed,residual,min_real_part,"
         "max_membership_distance,status,detail.",
     )
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--seed", type=_parse_seed, default=0)
     pv.add_argument("--sizes", type=_parse_sizes, default=(4, 3, 2),
                     help="comma-separated block sizes (default 4,3,2)")
     pv.add_argument("--n", type=int, default=None,
@@ -80,7 +82,7 @@ def build_parser():
     )
     ps.add_argument("--preset", required=True,
                     help="comma-separated preset names")
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=_parse_seed, default=0)
     ps.add_argument("--sizes", type=_parse_sizes, default=(4, 3, 2))
     ps.add_argument("--n", type=int, default=3,
                     help="block count for the n-block families")
@@ -92,9 +94,9 @@ def build_parser():
         description="One table per drop tolerance; columns PD1..PD4 then "
         "P1..P4, one row per mesh size. Non-converged cells print >maxit.",
     )
-    pb.add_argument("--N", type=_parse_int_list, default=(16,),
+    pb.add_argument("--N", type=_parse_list(int, "integer"), default=(16,),
                     help="comma-separated cells-per-side values")
-    pb.add_argument("--tau", type=_parse_float_list, default=(1e-3,),
+    pb.add_argument("--tau", type=_parse_list(float, "float"), default=(1e-3,),
                     help="comma-separated IC drop tolerances")
     pb.add_argument("--tol", type=float, default=biot_mod.BENCH_TOL,
                     help="GMRES stopping tolerance (preconditioned relative "
@@ -116,7 +118,7 @@ def build_parser():
                        help="export the assembled poroelastic blocks")
     group.add_argument("--sizes", type=_parse_sizes, default=None,
                        help="export a seeded random block-tridiagonal system")
-    pe.add_argument("--seed", type=int, default=0)
+    pe.add_argument("--seed", type=_parse_seed, default=0)
     pe.add_argument("--zero-tail", action="store_true")
     pe.add_argument("--spd", action="store_true")
     # each handler reports usage errors through its own subparser
@@ -219,10 +221,8 @@ def cmd_biot(args, parser):
     for tau, table in tables:
         lines = (table.to_csv_lines() if args.format == "csv"
                  else table.to_markdown_lines())
-        if args.out is None:
-            _emit(lines, None)
-        else:
-            _emit(lines, f"{args.out}_tau{tau:g}.{'csv' if args.format == 'csv' else 'md'}")
+        _emit(lines, None if args.out is None else
+              f"{args.out}_tau{tau:g}.{'csv' if args.format == 'csv' else 'md'}")
     if args.check_ordering:
         bad = biot_mod.ordering_violations(counts, args.N, args.tau)
         for _, msg in bad:
@@ -232,25 +232,20 @@ def cmd_biot(args, parser):
 
 
 def cmd_export(args, parser):
-    try:
-        if args.biot_N is not None:
-            if args.biot_N < 1:
-                parser.error("mesh size must be positive")
-            mesh = biot_mod.build_mesh(args.biot_N)
-            asm = biot_mod.assemble_biot(mesh, biot_mod.BiotParameters())
-            manifest = biot_mod.export_blocks(asm, args.out)
-        else:
-            try:
-                opts = SystemOptions(seed=args.seed, sizes=args.sizes,
-                                     zero_tail=args.zero_tail,
-                                     symmetric_spd=args.spd)
-            except ValueError as exc:
-                parser.error(str(exc))
-            system = random_system(opts)
-            manifest = save_system(system, args.out)
-    except OSError as exc:
-        print(f"IO error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if args.biot_N is not None:
+        if args.biot_N < 1:
+            parser.error("mesh size must be positive")
+        mesh = biot_mod.build_mesh(args.biot_N)
+        asm = biot_mod.assemble_biot(mesh, biot_mod.BiotParameters())
+        manifest = biot_mod.export_blocks(asm, args.out)
+    else:
+        try:
+            opts = SystemOptions(seed=args.seed, sizes=args.sizes,
+                                 zero_tail=args.zero_tail,
+                                 symmetric_spd=args.spd)
+        except ValueError as exc:
+            parser.error(str(exc))
+        manifest = save_system(random_system(opts), args.out)
     print(manifest)
     return EXIT_OK
 

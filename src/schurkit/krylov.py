@@ -122,9 +122,8 @@ def arnoldi(op, precond, b, maxit):
 def gmres(op, precond, b, tol=1e-8, maxit=500):
     """Solve A x = b with left-preconditioned full GMRES, zero initial guess.
 
-    Stops at the first step k >= 1 of ``arnoldi`` with estimate <= tol, or
-    after maxit steps.  Happy breakdown returns the exact solution;
-    breakdown before convergence raises GmresBreakdownError.
+    Stops at the first ``arnoldi`` step k >= 1 with estimate <= tol or at a
+    breakdown (GmresBreakdownError if above tol), else after maxit steps.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")

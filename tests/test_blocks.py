@@ -166,6 +166,11 @@ class TestRandomSystem:
         b = blocks.random_system(blocks.SystemOptions(seed=9, sizes=(3, 3)))
         assert np.array_equal(blocks.assemble(a), blocks.assemble(b))
 
+    def test_negative_seed_rejected(self):
+        # numpy's generator would reject it only once generation starts
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            blocks.SystemOptions(seed=-1, sizes=(2, 2))
+
     def test_zero_tail_needs_nonincreasing_sizes(self):
         with pytest.raises(ValueError):
             blocks.SystemOptions(seed=0, sizes=(2, 3), zero_tail=True)

@@ -330,7 +330,22 @@ class TestExitCodes:
         ["spectrum", "--preset", "P1", "--n", "1"],
         ["biot", "--N", "0"],
         ["export", "--biot-N", "0", "--out", "unused"],
+        ["verify", "--seed", "-1", "--preset", "P1"],
+        ["spectrum", "--preset", "P1", "--seed", "-1"],
+        ["export", "--sizes", "4,3,2", "--seed", "-1", "--out", "d"],
     ])
     def test_usage_error_prints_subcommand_usage(self, argv, capsys):
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith(f"usage: schurkit {argv[0]} ")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["biot", "--N", "4,x"], "bad integer list '4,x'"),
+        (["biot", "--tau", "1e-3,x"], "bad float list '1e-3,x'"),
+        (["verify", "--sizes", "4,x"], "bad size list '4,x'"),
+        (["verify", "--sizes", "4"], "need at least two positive sizes"),
+        (["export", "--sizes", "2,2", "--seed", "1.5", "--out", "unused"],
+         "seed must be a nonnegative integer, got '1.5'"),
+    ])
+    def test_bad_value_is_named(self, argv, message, capsys):
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
