@@ -221,8 +221,10 @@ def cmd_biot(args, parser):
     for tau, table in tables:
         lines = (table.to_csv_lines() if args.format == "csv"
                  else table.to_markdown_lines())
-        _emit(lines, None if args.out is None else
-              f"{args.out}_tau{tau:g}.{'csv' if args.format == 'csv' else 'md'}")
+        if args.out is None:
+            _emit(lines, None)
+        else:
+            _emit(lines, f"{args.out}_tau{tau:g}.{'csv' if args.format == 'csv' else 'md'}")
     if args.check_ordering:
         bad = biot_mod.ordering_violations(counts, args.N, args.tau)
         for _, msg in bad:
