@@ -91,16 +91,10 @@ def build_mesh(n):
     line = np.arange(n + 1) / n
     xx, yy = np.meshgrid(line, line, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            v00 = j * (n + 1) + i
-            v10 = v00 + 1
-            v01 = v00 + (n + 1)
-            v11 = v01 + 1
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    triangles = np.array(tris, dtype=np.int64)
+    # lower-left vertex of each cell, row by row; two triangles per cell
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    triangles = np.stack([v00, v00 + 1, v00 + n + 2,
+                          v00, v00 + n + 2, v00 + n + 1], axis=1).reshape(-1, 3)
     # local edge k sits opposite local vertex k
     pairs = np.concatenate([triangles[:, [1, 2]], triangles[:, [2, 0]],
                             triangles[:, [0, 1]]])

@@ -118,7 +118,8 @@ def build_parser():
                        help="export the assembled poroelastic blocks")
     group.add_argument("--sizes", type=_parse_sizes, default=None,
                        help="export a seeded random block-tridiagonal system")
-    pe.add_argument("--seed", type=_parse_seed, default=0)
+    # these three shape the random system and are rejected with --biot-N
+    pe.add_argument("--seed", type=_parse_seed, default=None, help="default 0")
     pe.add_argument("--zero-tail", action="store_true")
     pe.add_argument("--spd", action="store_true")
     # each handler reports usage errors through its own subparser
@@ -235,6 +236,8 @@ def cmd_biot(args, parser):
 
 def cmd_export(args, parser):
     if args.biot_N is not None:
+        if args.seed is not None or args.zero_tail or args.spd:
+            parser.error("--seed, --zero-tail and --spd apply to --sizes only")
         if args.biot_N < 1:
             parser.error("mesh size must be positive")
         mesh = biot_mod.build_mesh(args.biot_N)
@@ -242,7 +245,7 @@ def cmd_export(args, parser):
         manifest = biot_mod.export_blocks(asm, args.out)
     else:
         try:
-            opts = SystemOptions(seed=args.seed, sizes=args.sizes,
+            opts = SystemOptions(seed=args.seed or 0, sizes=args.sizes,
                                  zero_tail=args.zero_tail,
                                  symmetric_spd=args.spd)
         except ValueError as exc:

@@ -5,8 +5,8 @@ zeros dropped), matvec, drop-tolerance incomplete Cholesky with a diagonal
 shift safety net, triangular solves by block substitution over inverted
 diagonal blocks, and Matrix Market IO.
 All kernels are sequential / deterministic.
-An IcFactor holds L, L^T, the inverses of L's diagonal blocks and, per
-sweep, the list of blocks with views into those arrays that the solve runs.
+An IcFactor holds L, L^T and a plan per sweep: its blocks in the order the
+solve runs them, each with views of its rows and its diagonal inverse.
 
 The incomplete Cholesky builds one column of L per step with a fixed
 number of numpy calls.  The updates of all earlier columns go into the
@@ -294,61 +294,30 @@ def _ict_columns(n, ro, ci, vv, shifted_diag, tau, sqrt_diag):
 # N=40 tau=1e-3 9.0/6.6/5.8/9.1 ms, N=64 tau=1e-3 34/20/18/23 ms,
 # N=64 tau=1e-4 44/38/40/40 ms.  128 is fastest or within 5% of it.
 _BLOCK = 128
-# Diagonal blocks inverted per batch.  A batch's transients are its row
-# index and masks over the batch's entries of L, plus the dense stack and its
-# inverse (0.5 MB each at 4 blocks).  For the Biot displacement factor at
-# N=32, tau=1e-4 (879k entries, 64 blocks), they peak at 3.2/6.3/12.1 MB on
-# top of the 8.4 MB result for 4/8/16 blocks per batch, in 52/60/61 ms.
-_INVERT_BATCH = 4
 
 
-def _diagonal_block_inverses(lower):
-    """Explicit inverses of the k x k diagonal blocks of L, k = _BLOCK.
+def _block_inverse(lower, r0, r1):
+    """Explicit inverse of the diagonal block r0:r1 of L.
 
-    Returns an array of shape (ceil(n/k), k, k).  The last block, when it
-    has m < k rows, is padded with the identity, so its inverse is the
-    leading m x m corner.  The inverse of a lower triangular block is
-    lower triangular; np.tril drops the rounding that pivoting leaves
-    above the diagonal.
+    The inverse of a lower triangular block is lower triangular; np.tril
+    drops the rounding that pivoting leaves above the diagonal.
     """
-    n, k = lower.rows, _BLOCK
-    nblocks = -(-n // k)
     ro, ci, vv = lower.row_offsets, lower.col_indices, lower.values
-    pad = np.arange(n, nblocks * k) % k
-    out = np.empty((nblocks, k, k))
-    for b0 in range(0, nblocks, _INVERT_BATCH):
-        b1 = min(b0 + _INVERT_BATCH, nblocks)
-        r0, r1 = b0 * k, min(b1 * k, n)
-        s, e = ro[r0], ro[r1]
-        r = np.repeat(np.arange(r0, r1), np.diff(ro[r0:r1 + 1]))
-        c = ci[s:e]
-        inside = c >= r - r % k
-        r, c = r[inside], c[inside]
-        dense = np.zeros((b1 - b0, k, k))
-        dense[r // k - b0, r % k, c % k] = vv[s:e][inside]
-        if b1 == nblocks:
-            dense[-1, pad, pad] = 1.0
-        out[b0:b1] = np.tril(np.linalg.inv(dense))
-    return out
+    s, e = ro[r0], ro[r1]
+    r = np.repeat(np.arange(r1 - r0), np.diff(ro[r0:r1 + 1]))
+    c = ci[s:e] - r0
+    inside = c >= 0
+    dense = np.zeros((r1 - r0, r1 - r0))
+    dense[r[inside], c[inside]] = vv[s:e][inside]
+    return np.tril(np.linalg.inv(dense))
 
 
-def _sweep_plan(tri, inverses, backward):
-    """The blocks of one sweep, in the order it visits them.
-
-    Each block is (r0, r1, values, columns, row starts, inverse): its rows
-    r0:r1, views of its entries in tri, the offsets of its rows within
-    those entries, and the inverse of its diagonal block, transposed for
-    the backward sweep over tri = L^T.
-    """
-    n, k = tri.rows, _BLOCK
-    ro, ci, vv = tri.row_offsets, tri.col_indices, tri.values
-    plan = []
-    for i in range(len(inverses)):
-        r0, r1 = i * k, min(i * k + k, n)
-        s, e = ro[r0], ro[r1]
-        inv = inverses[i, :r1 - r0, :r1 - r0]
-        plan.append((r0, r1, vv[s:e], ci[s:e], ro[r0:r1] - s, inv.T if backward else inv))
-    return plan[::-1] if backward else plan
+def _block_step(tri, r0, r1, inv):
+    """Rows r0:r1 of a sweep over tri: (r0, r1, views of their values and
+    columns, their offsets within those entries, the diagonal inverse)."""
+    ro = tri.row_offsets
+    s, e = ro[r0], ro[r1]
+    return (r0, r1, tri.values[s:e], tri.col_indices[s:e], ro[r0:r1] - s, inv)
 
 
 def _block_solve(plan, b):
@@ -379,17 +348,21 @@ class IcFactor:
     shift: float
     tau: float
     _upper: CsrMatrix = field(default=None, repr=False)   # L^T; built if not given
-    _inverses: np.ndarray = field(init=False, repr=False)
-    # blocks of the forward (L) and backward (L^T) sweeps, see _sweep_plan
+    # the steps of the forward (L) and backward (L^T) sweeps, see _block_step
     _lower_plan: list = field(init=False, repr=False)
     _upper_plan: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if self._upper is None:
             self._upper = csr_transpose(self.lower)
-        self._inverses = _diagonal_block_inverses(self.lower)
-        self._lower_plan = _sweep_plan(self.lower, self._inverses, backward=False)
-        self._upper_plan = _sweep_plan(self._upper, self._inverses, backward=True)
+        n = self.n
+        self._lower_plan, self._upper_plan = [], []
+        for r0 in range(0, n, _BLOCK):
+            r1 = min(r0 + _BLOCK, n)
+            inv = _block_inverse(self.lower, r0, r1)
+            self._lower_plan.append(_block_step(self.lower, r0, r1, inv))
+            self._upper_plan.append(_block_step(self._upper, r0, r1, inv.T))
+        self._upper_plan.reverse()
 
     @property
     def n(self):

@@ -289,6 +289,13 @@ class TestExportCommand:
         assert np.array_equal(blocks.assemble(loaded),
                               blocks.assemble(original))
 
+    def test_default_seed_is_zero(self, tmp_path, capsys):
+        assert run(["export", "--sizes", "3,2", "--out", str(tmp_path / "sys")]) == 0
+        from schurkit import blocks
+        loaded = blocks.load_system(capsys.readouterr().out.strip())
+        original = blocks.random_system(blocks.SystemOptions(seed=0, sizes=(3, 2)))
+        assert np.array_equal(blocks.assemble(loaded), blocks.assemble(original))
+
     def test_biot_export_file_count(self, tmp_path):
         out = tmp_path / "biot4"
         code = run(["export", "--biot-N", "4", "--out", str(out)])
@@ -333,6 +340,11 @@ class TestExitCodes:
         ["verify", "--seed", "-1", "--preset", "P1"],
         ["spectrum", "--preset", "P1", "--seed", "-1"],
         ["export", "--sizes", "4,3,2", "--seed", "-1", "--out", "d"],
+        ["export", "--biot-N", "2", "--seed", "5", "--out", "d"],
+        ["export", "--biot-N", "2", "--seed", "0", "--out", "d"],
+        ["export", "--biot-N", "2", "--zero-tail", "--out", "d"],
+        ["export", "--biot-N", "2", "--spd", "--out", "d"],
+        ["export", "--biot-N", "2", "--zero-tail", "--spd", "--seed", "5", "--out", "d"],
     ])
     def test_usage_error_prints_subcommand_usage(self, argv, capsys):
         assert run(argv) == 2

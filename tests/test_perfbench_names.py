@@ -2,8 +2,9 @@
 
 Its own tests are slow and run apart from this suite, so these tests make a
 renamed or deleted name fail here: ``install_spans`` looks every wrapped
-name up when it installs its wrappers, and one verify pass calls the verify
-names the workload uses.
+name up when it installs its wrappers, one verify pass calls the verify
+names the workload uses, and ``factor_stats``, which only a traced run
+calls, reads the Biot set-up and rebuilds its factors.
 """
 
 import importlib.util
@@ -44,3 +45,16 @@ def test_verify_workload_pass():
     result = workloads.VerifyWorkload(0, n_seeds=1).run_pass()
     assert (result.attempted, result.ops, result.failed) == (52, 52, 0)
     assert result.wrong == [] and result.details["errors"] == {}
+
+
+def test_factor_stats_reads_the_biot_setup():
+    workloads = load("workloads")
+    params = biot.BiotParameters()
+    asm = biot.assemble_biot(biot.build_mesh(4), params)
+    pres = biot.build_biot_preconditioners(asm, params, 1e-3)
+    stats = workloads.factor_stats(asm, pres)
+    factors = {"u": pres.factor_u, "xi": pres.factor_xi, "p": pres.factor_p}
+    assert stats["nnz"] == {k: f.lower.nnz for k, f in factors.items()}
+    assert stats["shift_max"] == max(f.shift for f in factors.values())
+    assert stats["schedule_s"] > 0.0
+    assert stats["fill_ratio_u"] >= 1.0 and stats["levels_u"] >= 1

@@ -516,10 +516,10 @@ class TestIcholOracle:
 
 class TestIcholMemory:
     # The traced peak of ichol over the bytes of the factor it returns: L,
-    # L^T and the diagonal-block inverses.  On the N=16 Biot displacement
-    # block at tau=1e-4 (194k entries in L) it was 2.21 while the column
-    # store grew by copies and the transpose and the inverses built row
-    # indices for all of L, and it is 1.42 without them.
+    # L^T and the diagonal-block inverses its sweep plans hold.  On the
+    # N=16 Biot displacement block at tau=1e-4 (194k entries in L) it was
+    # 2.21 while the column store grew by copies and the transpose and the
+    # inverses built row indices for all of L, and it is 1.42 without them.
     def test_biot_displacement_peak(self):
         a = biot.assemble_biot(biot.build_mesh(16), biot.BiotParameters()).a_u
         tracemalloc.start()
@@ -530,7 +530,8 @@ class TestIcholMemory:
             tracemalloc.stop()
         held = sum(arr.nbytes for tri in (f.lower, f._upper)
                    for arr in (tri.row_offsets, tri.col_indices, tri.values))
-        assert peak <= 1.75 * (held + f._inverses.nbytes)
+        held += sum(step[-1].nbytes for step in f._lower_plan)
+        assert peak <= 1.75 * held
 
 
 def dense_substitution(lower, b):
@@ -623,6 +624,20 @@ class TestIcSolve:
         b = np.random.default_rng(19).uniform(-1.0, 1.0, f.n)
         assert (sha256_of(sparse.ic_solve(f, b))
                 == "93b3f7ee380d01b6de41d3dba56fa484282b44818328678347f54b32053d202e")
+
+    # perfbench's factor_stats and the shift test of test_biot build the
+    # factor from L alone, so IcFactor transposes L itself
+    @pytest.mark.parametrize("block", ["remainder", "u", "xi", "p"])
+    def test_factor_from_lower_alone(self, block, biot8_factors):
+        f = (sparse.ichol(five_point_laplacian(sparse._BLOCK // 4 + 3, 8), 0.0)
+             if block == "remainder" else biot8_factors[block])
+        g = sparse.IcFactor(f.lower, f.shift, f.tau)
+        b = np.random.default_rng(19).uniform(-1.0, 1.0, f.n)
+        assert sparse.ic_solve(g, b).tobytes() == sparse.ic_solve(f, b).tobytes()
+        starts = [i * sparse._BLOCK for i in range(math.ceil(f.n / sparse._BLOCK))]
+        for h in (f, g):
+            assert [step[0] for step in h._lower_plan] == starts
+            assert [step[0] for step in h._upper_plan] == starts[::-1]
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_empty_and_single_row(self, n):
