@@ -100,14 +100,6 @@ class BlockTridiagonalSystem:
         return tuple(a.shape[0] for a in self.diag)
 
 
-@dataclass(frozen=True)
-class SchurChain:
-    """Nested Schur complements with their LAPACK inverses (dense.LUFactors)."""
-
-    blocks: tuple
-    factors: tuple
-
-
 def schur_steps(sys):
     """Yield (S_i, dense.lu_factor(S_i)) for i = 1..n, one complement at a time.
 
@@ -125,12 +117,6 @@ def schur_steps(sys):
         yield s, f
         if i < sys.n - 1:
             s = sys.diag[i + 1] + sys.lower[i] @ dense.lu_solve(f, sys.upper[i])
-
-
-def nested_chain(sys):
-    """Build S_1 .. S_n for a block-tridiagonal system (see schur_steps)."""
-    schur_blocks, factors = zip(*schur_steps(sys))
-    return SchurChain(blocks=schur_blocks, factors=factors)
 
 
 @dataclass(frozen=True)
@@ -294,11 +280,6 @@ def _chain_ok(sys):
 
 # ---------------------------------------------------------------------------
 # manifest IO
-
-
-def save_system(sys, directory):
-    """Write the blocks of a system through write_blocks; returns the manifest path."""
-    return write_blocks(directory, sys.diag, sys.upper, sys.lower)
 
 
 def write_blocks(directory, diag, upper, lower):

@@ -16,7 +16,7 @@ import sys
 from . import biot as biot_mod
 from . import dense, verify
 from . import precond as pc
-from .blocks import SystemOptions, random_system, save_system
+from .blocks import SystemOptions, random_system, write_blocks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -250,7 +250,8 @@ def cmd_export(args, parser):
                                  symmetric_spd=args.spd)
         except ValueError as exc:
             parser.error(str(exc))
-        manifest = save_system(random_system(opts), args.out)
+        system = random_system(opts)
+        manifest = write_blocks(args.out, system.diag, system.upper, system.lower)
     print(manifest)
     return EXIT_OK
 

@@ -30,10 +30,6 @@ class EigenConvergenceError(RuntimeError):
     """LAPACK's QR iteration failed to converge on every eigenvalue."""
 
 
-class ZeroEigenvalueError(ValueError):
-    """A spectral condition number was requested for a spectrum containing 0."""
-
-
 def as_matrix(a):
     """Validate ``a`` as a 2-D real matrix with finite entries."""
     m = np.asarray(a, dtype=float)
@@ -123,13 +119,3 @@ def eigenvalues(a):
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
     return sorted((complex(z) for z in w), key=lambda z: (z.real, z.imag))
-
-
-def spectral_condition(eigs):
-    """max |lambda| / min |lambda| over a nonzero spectrum."""
-    mags = [abs(complex(z)) for z in eigs]
-    if not mags:
-        raise ValueError("empty eigenvalue list")
-    if min(mags) == 0.0:
-        raise ZeroEigenvalueError("spectrum contains a zero eigenvalue")
-    return max(mags) / min(mags)

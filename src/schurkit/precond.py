@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dense
 from .blocks import (ArrowheadSystem, BlockTridiagonalSystem, SingularSchurError,
-                     assemble, assemble_arrowhead, nested_chain)
+                     schur_steps)
 
 
 class SingularLeadingBlockError(ValueError):
@@ -258,7 +258,7 @@ def make_preconditioner(name, system=None, *, sizes=None, solves=None,
         sub_matvecs = (_matvec(np.hstack(system.border_rows)),)
     elif system is not None:
         sizes = system.sizes
-        solves = tuple(_lu_solver(f) for f in nested_chain(system).factors)
+        solves = tuple(_lu_solver(f) for _, f in schur_steps(system))
         sub_matvecs = tuple(_matvec(c) for c in system.lower)
 
     if additive and len(sizes) != 2:
@@ -270,17 +270,13 @@ def make_preconditioner(name, system=None, *, sizes=None, solves=None,
     return BlockTriangularPreconditioner(sizes, solves, diag_signs, sub_matvecs)
 
 
-def preconditioned_matrix(p, system):
+def preconditioned_matrix(p, a):
     """Dense P^{-1} A in one block apply (desk-scale guard applies).
 
-    ``system`` is a block system or its assembled matrix.
+    ``a`` is the assembled matrix: ``blocks.assemble`` of a block system or
+    ``blocks.assemble_arrowhead`` of its arrowhead view.
     """
-    if isinstance(system, BlockTridiagonalSystem):
-        a = assemble(system)
-    elif isinstance(system, ArrowheadSystem):
-        a = assemble_arrowhead(system)
-    else:
-        a = dense.as_square(system)
+    a = dense.as_square(a)
     n = a.shape[0]
     if n > dense.DESK_SIZE_LIMIT:
         raise ValueError(f"size {n} exceeds desk-scale limit {dense.DESK_SIZE_LIMIT}")
@@ -296,20 +292,18 @@ def build_ldu(sys):
     the diagonal, D = diag((-1)**(i-1) S_i), U is unit upper with
     (-1)**(i-1) S_i^{-1} B_i^T.  assemble(sys) == L @ D @ U.
     """
-    chain = nested_chain(sys)
     sizes = sys.sizes
     offs = np.concatenate(([0], np.cumsum(sizes)))
     tot = offs[-1]
     L = np.eye(tot)
     D = np.zeros((tot, tot))
     U = np.eye(tot)
-    for i in range(sys.n):
-        s = offs[i]
-        D[s:s + sizes[i], s:s + sizes[i]] = ((-1) ** i) * chain.blocks[i]
-    for i in range(sys.n - 1):
-        r, c = offs[i], offs[i + 1]
+    for i, (schur, f) in enumerate(schur_steps(sys)):
+        r = offs[i]
         sign = (-1) ** i
-        s_inv = chain.factors[i].inv
-        L[c:c + sizes[i + 1], r:r + sizes[i]] = sign * (sys.lower[i] @ s_inv)
-        U[r:r + sizes[i], c:c + sizes[i + 1]] = sign * (s_inv @ sys.upper[i])
+        D[r:r + sizes[i], r:r + sizes[i]] = sign * schur
+        if i < sys.n - 1:
+            c = offs[i + 1]
+            L[c:c + sizes[i + 1], r:r + sizes[i]] = sign * (sys.lower[i] @ f.inv)
+            U[r:r + sizes[i], c:c + sizes[i + 1]] = sign * (f.inv @ sys.upper[i])
     return L, D, U

@@ -60,12 +60,6 @@ def pbar_polynomials(n):
     return _diagonal_recurrence(pc.preset_pattern("Dn", n=n)[1])
 
 
-def ptilde_polynomials(n):
-    """q_0 = 1, q_1 = x - 1, q_{i+1} = x*q_i - q_{i-1}, as ascending
-    coefficients: the diagonal recurrence of the all-plus signs of Mn."""
-    return _diagonal_recurrence(pc.preset_pattern("Mn", n=n)[1])
-
-
 def pattern_factors(family, diag_signs):
     """Annihilating-polynomial factors of a sign pattern's P^{-1} A.
 

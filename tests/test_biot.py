@@ -492,10 +492,11 @@ class TestPaperTheory:
 
     @pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4", "Q1", "Q2"])
     def test_exact_preset_annihilates(self, sys4, name):
-        system = sys4
+        system, a = sys4, blocks.assemble(sys4)
         if name in precond.ADDITIVE_PRESETS:
             system = blocks.ArrowheadSystem(sys4)
+            a = blocks.assemble_arrowhead(system)
         t = precond.preconditioned_matrix(
-            precond.make_preconditioner(name, system), system)
+            precond.make_preconditioner(name, system), a)
         factors = verify.predicted_polynomial(name)
         assert verify.annihilation_residual(t, factors) <= verify.ANNIHILATION_TOL

@@ -226,7 +226,7 @@ class TestManifest:
     def test_round_trip_bitwise(self, tmp_path):
         opts = blocks.SystemOptions(seed=31, sizes=(3, 2, 4))
         s = blocks.random_system(opts)
-        manifest = blocks.save_system(s, tmp_path / "sys")
+        manifest = blocks.write_blocks(tmp_path / "sys", s.diag, s.upper, s.lower)
         t = blocks.load_system(manifest)
         for x, y in zip(s.diag + s.upper + s.lower,
                         t.diag + t.upper + t.lower):

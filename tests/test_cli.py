@@ -39,6 +39,22 @@ def run(argv):
         return exc.code
 
 
+def run_child(python_args, **env):
+    """stdout of ``python <python_args>`` in a child process that finds the
+    package; ``env`` adds to the child's environment only."""
+    src = str(Path(schurkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable] + python_args, env=env,
+                          capture_output=True, check=True).stdout
+
+
+def out_under(tmp_path, argv):
+    """argv with each --out value moved under tmp_path."""
+    return [str(tmp_path / a) if prev == "--out" else a
+            for prev, a in zip([None] + argv, argv)]
+
+
 class TestVerifyCommand:
     def test_default_suite_passes(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -123,15 +139,9 @@ class TestVerifyCommand:
                     float(text)
 
     def test_byte_identical_across_blas_threads(self):
-        src = str(Path(schurkit.__file__).resolve().parent.parent)
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           filter(None, [src, os.environ.get("PYTHONPATH")])))
-            proc = subprocess.run([sys.executable, "-m", "schurkit"] + SEED6_SWEEP,
-                                  env=env, capture_output=True, check=True)
-            outputs.append(proc.stdout)
+        outputs = [run_child(["-m", "schurkit"] + SEED6_SWEEP,
+                             OPENBLAS_NUM_THREADS=threads)
+                   for threads in ("1", "2")]
         assert outputs[0] == outputs[1]
 
 
@@ -258,6 +268,14 @@ class TestBiotCommand:
             "8x8,28,28,25,36,13,23,23,19\n"
             "16x16,41,42,37,61,19,38,38,33\n")
 
+    def test_runs_under_cprofile(self, tmp_path):
+        # a profile hook holds references that ndarray.resize's refcheck sees
+        argv = ["-m", "schurkit", "biot", "--N", "4", "--format", "csv"]
+        stats = tmp_path / "biot.prof"
+        profiled = run_child(["-m", "cProfile", "-o", str(stats)] + argv)
+        assert profiled == run_child(argv)
+        assert stats.stat().st_size > 0
+
     def test_check_ordering_small(self, capsys):
         code = run(["biot", "--N", "16", "--tau", "1e-3", "--check-ordering"])
         assert code == 0
@@ -311,8 +329,8 @@ class TestExportCommand:
                     str(blocker / "sub")])
         assert code == 4
 
-    def test_requires_a_source(self):
-        assert run(["export", "--out", "/tmp/x"]) == 2
+    def test_requires_a_source(self, tmp_path):
+        assert run(["export", "--out", str(tmp_path / "x")]) == 2
 
     def test_zero_tail_with_increasing_sizes_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "sys"
@@ -346,8 +364,8 @@ class TestExitCodes:
         ["export", "--biot-N", "2", "--spd", "--out", "d"],
         ["export", "--biot-N", "2", "--zero-tail", "--spd", "--seed", "5", "--out", "d"],
     ])
-    def test_usage_error_prints_subcommand_usage(self, argv, capsys):
-        assert run(argv) == 2
+    def test_usage_error_prints_subcommand_usage(self, argv, tmp_path, capsys):
+        assert run(out_under(tmp_path, argv)) == 2
         assert capsys.readouterr().err.startswith(f"usage: schurkit {argv[0]} ")
 
     @pytest.mark.parametrize("argv,message", [
@@ -358,6 +376,6 @@ class TestExitCodes:
         (["export", "--sizes", "2,2", "--seed", "1.5", "--out", "unused"],
          "seed must be a nonnegative integer, got '1.5'"),
     ])
-    def test_bad_value_is_named(self, argv, message, capsys):
-        assert run(argv) == 2
+    def test_bad_value_is_named(self, argv, message, tmp_path, capsys):
+        assert run(out_under(tmp_path, argv)) == 2
         assert message in capsys.readouterr().err

@@ -175,22 +175,3 @@ class TestEigenvalues:
         monkeypatch.setattr(np.linalg, "eigvals", fail)
         with pytest.raises(dense.EigenConvergenceError):
             dense.eigenvalues(np.eye(3))
-
-
-class TestSpectralCondition:
-    def test_simple(self):
-        assert dense.spectral_condition([1.0, 2.0]) == 2.0
-
-    def test_singleton(self):
-        assert dense.spectral_condition([complex(1.0)]) == 1.0
-
-    def test_six_value_set(self):
-        vals = [2 * math.cos((2 * i - 1) / (2 * j + 1) * math.pi)
-                for j in (1, 2, 3) for i in range(1, j + 1)]
-        cond = dense.spectral_condition(vals)
-        assert abs(cond - math.cos(math.pi / 7) / math.sin(math.pi / 14)) < 1e-12
-        assert abs(cond - 4.05) < 5e-3
-
-    def test_zero_eigenvalue(self):
-        with pytest.raises(dense.ZeroEigenvalueError):
-            dense.spectral_condition([0.0, 1.0])

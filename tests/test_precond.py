@@ -12,6 +12,11 @@ def scalar_threeblock():
     )
 
 
+def schur_blocks(sys):
+    """S_1 .. S_n of the nested Schur chain."""
+    return [s for s, _ in blocks.schur_steps(sys)]
+
+
 def assemble_preconditioner_dense(name, sys, chain):
     """Assemble the preconditioner itself as a dense matrix (oracle)."""
     family, dsign = precond.preset_pattern(name, n=sys.n)
@@ -20,7 +25,7 @@ def assemble_preconditioner_dense(name, sys, chain):
     offs = np.concatenate(([0], np.cumsum(sizes)))
     m = np.zeros((offs[-1], offs[-1]))
     for i in range(sys.n):
-        m[offs[i]:offs[i + 1], offs[i]:offs[i + 1]] = dsign[i] * chain.blocks[i]
+        m[offs[i]:offs[i + 1], offs[i]:offs[i + 1]] = dsign[i] * chain[i]
     if family == "triangular":
         for i in range(sys.n - 1):
             m[offs[i + 1]:offs[i + 2], offs[i]:offs[i + 1]] = (
@@ -30,8 +35,8 @@ def assemble_preconditioner_dense(name, sys, chain):
 
 class TestNestedChain:
     def test_scalar_recursion(self):
-        chain = precond.nested_chain(scalar_threeblock())
-        assert [b.item() for b in chain.blocks] == [1.0, 2.0, 1.5]
+        chain = schur_blocks(scalar_threeblock())
+        assert [b.item() for b in chain] == [1.0, 2.0, 1.5]
 
     def test_zero_tail_identity(self):
         k = 3
@@ -39,9 +44,9 @@ class TestNestedChain:
         sys3 = blocks.BlockTridiagonalSystem(
             diag=(eye, np.zeros((k, k)), np.zeros((k, k))),
             upper=(eye, eye), lower=(eye, eye))
-        chain = precond.nested_chain(sys3)
-        assert np.allclose(chain.blocks[1], eye, atol=1e-15)
-        assert np.allclose(chain.blocks[2], eye, atol=1e-15)
+        chain = schur_blocks(sys3)
+        assert np.allclose(chain[1], eye, atol=1e-15)
+        assert np.allclose(chain[2], eye, atol=1e-15)
 
     def test_against_explicit_inverse_oracle(self):
         opts = blocks.SystemOptions(seed=41, sizes=(2, 2, 2))
@@ -50,15 +55,15 @@ class TestNestedChain:
         det = a1[0, 0] * a1[1, 1] - a1[0, 1] * a1[1, 0]
         inv = np.array([[a1[1, 1], -a1[0, 1]], [-a1[1, 0], a1[0, 0]]]) / det
         s2 = s.diag[1] + s.lower[0] @ inv @ s.upper[0]
-        chain = precond.nested_chain(s)
-        assert np.abs(chain.blocks[1] - s2).max() < 1e-13
+        chain = schur_blocks(s)
+        assert np.abs(chain[1] - s2).max() < 1e-13
 
     def test_singular_schur_index(self):
         sys3 = blocks.BlockTridiagonalSystem(
             diag=([[0.0]], [[1.0]], [[1.0]]),
             upper=([[1.0]], [[1.0]]), lower=([[1.0]], [[1.0]]))
         with pytest.raises(precond.SingularSchurError) as exc:
-            precond.nested_chain(sys3)
+            schur_blocks(sys3)
         assert exc.value.index == 1
 
 
@@ -184,7 +189,7 @@ class TestApply:
         opts = blocks.SystemOptions(seed=43, sizes=(4, 3, 2),
                                     zero_tail=name.startswith("PD"))
         s = blocks.random_system(opts)
-        chain = precond.nested_chain(s)
+        chain = schur_blocks(s)
         p = precond.make_preconditioner(name, s)
         pm = assemble_preconditioner_dense(name, s, chain)
         rng = np.random.default_rng(44)
@@ -220,9 +225,9 @@ class TestPreconditionedMatrix:
     def test_p1_structure(self):
         opts = blocks.SystemOptions(seed=45, sizes=(4, 3, 2))
         s = blocks.random_system(opts)
-        chain = precond.nested_chain(s)
+        chain = schur_blocks(s)
         t = precond.preconditioned_matrix(
-            precond.make_preconditioner("P1", s), s)
+            precond.make_preconditioner("P1", s), blocks.assemble(s))
         rel = np.abs(t).max()
         # unit diagonal blocks, vanishing strictly-lower blocks
         assert np.abs(t[:4, :4] - np.eye(4)).max() <= 1e-11 * rel
@@ -231,7 +236,7 @@ class TestPreconditionedMatrix:
         assert np.abs(t[4:, :4]).max() <= 1e-11 * rel
         assert np.abs(t[7:, 4:7]).max() <= 1e-11 * rel
         b12 = np.linalg.solve(s.diag[0], np.asarray(s.upper[0]))
-        b23 = -np.linalg.solve(chain.blocks[1], np.asarray(s.upper[1]))
+        b23 = -np.linalg.solve(chain[1], np.asarray(s.upper[1]))
         assert np.abs(t[:4, 4:7] - b12).max() <= 1e-11 * rel
         assert np.abs(t[4:7, 7:] - b23).max() <= 1e-11 * rel
 
@@ -242,7 +247,7 @@ class TestPreconditionedMatrix:
         f = dense.lu_factor(a)
         p = precond.BlockDiagonalPreconditioner(
             (a.shape[0],), [lambda v: dense.lu_solve(f, v)], (1,))
-        t = precond.preconditioned_matrix(p, s)
+        t = precond.preconditioned_matrix(p, a)
         assert np.abs(t - np.eye(a.shape[0])).max() < 1e-11
 
     def test_q1_upper_triangular_with_identity_diagonal(self):
@@ -250,7 +255,7 @@ class TestPreconditionedMatrix:
         s = blocks.random_system(opts)
         arrow = blocks.ArrowheadSystem(s)
         t = precond.preconditioned_matrix(
-            precond.make_preconditioner("Q1", arrow), arrow)
+            precond.make_preconditioner("Q1", arrow), blocks.assemble_arrowhead(arrow))
         na = 4 + 2
         rel = np.abs(t).max()
         assert np.abs(t[na:, :na]).max() <= 1e-11 * rel
@@ -306,7 +311,7 @@ class TestAnnihilationStructure:
         opts = blocks.SystemOptions(seed=60 + n, sizes=sizes)
         s = blocks.random_system(opts)
         t = precond.preconditioned_matrix(
-            precond.make_preconditioner("Pn", s), s)
+            precond.make_preconditioner("Pn", s), blocks.assemble(s))
         factors = verify.predicted_polynomial("Pn", n=n)
         assert verify.annihilation_residual(t, factors) <= 1e-9
 
@@ -315,7 +320,7 @@ class TestAnnihilationStructure:
         s = blocks.random_system(opts)
         arrow = blocks.ArrowheadSystem(s)
         t = precond.preconditioned_matrix(
-            precond.make_preconditioner("Q2", arrow), arrow)
+            precond.make_preconditioner("Q2", arrow), blocks.assemble_arrowhead(arrow))
         eye = np.eye(t.shape[0])
         resid = np.linalg.norm((t - eye) @ (t + eye))
         assert resid / (1.0 + np.linalg.norm(t)) ** 2 <= 1e-11

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -218,6 +219,47 @@ class TestTranspose:
         assert csr_equal(sparse.csr_transpose(a), self.lexsort_transpose(a))
 
 
+class TestCsrAdd:
+    @staticmethod
+    def triplet_sum(a, b):
+        return sparse.csr_from_triplets(a.rows, a.cols, (
+            np.concatenate([a._row_index(), b._row_index()]),
+            np.concatenate([a.col_indices, b.col_indices]),
+            np.concatenate([a.values, b.values])))
+
+    def test_shared_pattern_adds_entrywise(self, monkeypatch):
+        a = five_point_laplacian(5)
+        rng = np.random.default_rng(19)
+        b = sparse.CsrMatrix(a.rows, a.cols, a.row_offsets.copy(),
+                             a.col_indices.copy(), rng.uniform(-1.0, 1.0, a.nnz))
+        b.values[7] = -a.values[7]
+        want = self.triplet_sum(a, b)
+
+        def assembly(*args):
+            raise AssertionError("csr_add assembled from triplets")
+
+        monkeypatch.setattr(sparse, "csr_from_triplets", assembly)
+        got = sparse.csr_add(a, b)
+        assert csr_equal(got, want)
+        # the entry that cancelled to exactly 0.0 left the pattern
+        assert got.nnz == a.nnz - 1
+        cancelled = (a._row_index()[7], a.col_indices[7])
+        assert cancelled not in set(zip(got._row_index(), got.col_indices))
+
+    @pytest.mark.parametrize("seed", [20, 21])
+    def test_different_patterns_match_triplet_assembly(self, seed):
+        rng = np.random.default_rng(seed)
+        a, da = random_csr(rng, 7, 5, empty_rows=(2,))
+        b, db = random_csr(rng, 7, 5)
+        got = sparse.csr_add(a, b)
+        assert csr_equal(got, self.triplet_sum(a, b))
+        assert np.array_equal(got.to_dense(), da + db)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            sparse.csr_add(csr_identity(2), csr_identity(3))
+
+
 class TestIchol:
     @pytest.mark.parametrize("tau", [-1e-3, float("nan")])
     def test_bad_drop_tolerance(self, tau):
@@ -386,6 +428,22 @@ class TestIchol:
         for arr in (lower.row_offsets, lower.col_indices, lower.values):
             h.update(arr.tobytes())
         assert h.hexdigest() == digest
+
+    def test_profile_hook_gives_the_plain_factor(self, biot8):
+        # ndarray.resize refuses an array that a profile hook holds a
+        # reference to, unless its reference check is off
+        a = biot8.a_u
+        plain = {tau: sparse.ichol(a, tau).lower for tau in (0.0, 1e-3)}
+        # the column store starts at 2 nnz(A) entries: it grows at tau=0 only
+        assert plain[0.0].nnz > 2 * a.nnz >= plain[1e-3].nnz
+        previous = sys.getprofile()
+        sys.setprofile(lambda *args: None)
+        try:
+            hooked = {tau: sparse.ichol(a, tau).lower for tau in plain}
+        finally:
+            sys.setprofile(previous)
+        for tau, lower in plain.items():
+            assert csr_equal(hooked[tau], lower)
 
     def test_factor_arrays_hold_exactly_nnz(self):
         f = sparse.ichol(five_point_laplacian(12), 1e-2)

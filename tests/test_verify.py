@@ -125,7 +125,7 @@ class TestSignPatterns:
                 verify.hypothesis_options(hypothesis, seed, (4, 3, 2), n=n))
             a = blocks.assemble(s)
             solves = [functools.partial(dense.lu_solve, f)
-                      for f in blocks.nested_chain(s).factors]
+                      for _, f in blocks.schur_steps(s)]
             couplings = [c.__matmul__ for c in s.lower]
             for diag in itertools.product((1, -1), repeat=n):
                 if family == "diagonal":
@@ -161,10 +161,11 @@ class TestRecurrences:
         assert all(type(v) is float for c in pb for v in c)
 
     def test_ptilde_base_and_steps(self):
-        pt = verify.ptilde_polynomials(3)
-        assert pt[1] == (-1.0, 1.0)
-        assert pt[2] == (-1.0, -1.0, 1.0)         # x^2 - x - 1
-        assert pt[3] == (1.0, -2.0, -1.0, 1.0)    # x^3 - x^2 - 2x + 1
+        # Mn's factors q_1..q_n: q_{i+1} = x*q_i - q_{i-1}, all-plus signs
+        pt = verify.predicted_polynomial("Mn", n=3)
+        assert pt[0] == (-1.0, 1.0)
+        assert pt[1] == (-1.0, -1.0, 1.0)         # x^2 - x - 1
+        assert pt[2] == (1.0, -2.0, -1.0, 1.0)    # x^3 - x^2 - 2x + 1
 
     def test_pbar_matches_diagonal_family_cubic(self):
         # the cubic factor of the alternating-sign diagonal preset
@@ -173,10 +174,10 @@ class TestRecurrences:
         assert pb3 == pd3
 
     def test_ptilde_matches_plus_sign_family(self):
-        pt = verify.ptilde_polynomials(3)
+        pt = verify.predicted_polynomial("Mn", n=3)
         pd1 = verify.predicted_polynomial("PD1")
-        assert pd1[1] == pt[2]
-        assert pd1[2] == pt[3]
+        assert pd1[1] == pt[1]
+        assert pd1[2] == pt[2]
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
@@ -333,7 +334,7 @@ class TestAnnihilationResidual:
         opts = blocks.SystemOptions(seed=81, sizes=(5, 4, 3), zero_tail=True)
         s = blocks.random_system(opts)
         t = precond.preconditioned_matrix(
-            precond.make_preconditioner("PD1", s), s)
+            precond.make_preconditioner("PD1", s), blocks.assemble(s))
         r = verify.annihilation_residual(t, verify.predicted_polynomial("PD1"))
         assert r < 1e-9
 
@@ -358,7 +359,7 @@ class TestSpectrumMembership:
         opts = blocks.SystemOptions(seed=82, sizes=(5, 4, 3), zero_tail=True)
         s = blocks.random_system(opts)
         t = precond.preconditioned_matrix(
-            precond.make_preconditioner("PD2", s), s)
+            precond.make_preconditioner("PD2", s), blocks.assemble(s))
         eigs = dense.eigenvalues(t)
         printed = [complex(-0.618), complex(-0.2328, 0.7926),
                    complex(-0.2328, -0.7926), complex(1.0),
@@ -373,7 +374,7 @@ class TestSpectrumMembership:
                                     zero_tail=True, symmetric_spd=True)
         s = blocks.random_system(opts)
         t = precond.preconditioned_matrix(
-            precond.make_preconditioner("PD1", s), s)
+            precond.make_preconditioner("PD1", s), blocks.assemble(s))
         eigs = dense.eigenvalues(t)
         rep = verify.spectrum_membership(eigs, target)
         assert rep.max_membership_distance < 1e-8
