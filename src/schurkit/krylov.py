@@ -47,6 +47,11 @@ def arnoldi(op, precond, b, maxit):
     vanished (no step follows), and a callable forming x_k that stays
     valid after later steps.  Step 0 has estimate 1.0, or 0.0 with
     breakdown when M^{-1} b = 0.  Arguments are checked at the first step.
+
+    After k steps the workspace is the k+1 basis vectors plus O(k^2) for
+    the rotated Hessenberg, whatever ``maxit`` is: the least-squares
+    arrays start at 16 columns and double when full, up to ``maxit``.
+    ``solution`` reads the current arrays, which keep every value.
     """
     if maxit < 0:
         raise ValueError(f"maxit must be nonnegative, got {maxit}")
@@ -82,12 +87,18 @@ def arnoldi(op, precond, b, maxit):
     if beta == 0.0:
         return
     basis = [r0 / beta]
-    h = np.zeros((maxit + 1, maxit))
-    cs = np.zeros(maxit)
-    sn = np.zeros(maxit)
-    g = np.zeros(maxit + 1)
+    cap = min(maxit, 16)
+    h = np.zeros((cap + 1, cap))
+    cs = np.zeros(cap)
+    sn = np.zeros(cap)
+    g = np.zeros(cap + 1)
     g[0] = beta
     for j in range(maxit):
+        if j == cap:   # full: zero-pad to twice the steps, up to maxit
+            grow = min(cap, maxit - cap)
+            h = np.pad(h, ((0, grow), (0, grow)))
+            cs, sn, g = (np.pad(a, (0, grow)) for a in (cs, sn, g))
+            cap += grow
         w = apply(op.matvec(basis[j]))
         if w.shape != (op.dim,):
             raise ValueError(f"operator gave shape {w.shape}, expected ({op.dim},)")

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -154,6 +157,52 @@ class TestArnoldi:
         steps = gmres.arnoldi(op, None, np.ones(4), 5)
         with pytest.raises(ValueError, match="rhs length"):
             next(steps)
+
+
+class TestWorkspace:
+    """The Arnoldi workspace grows with the steps taken, not with maxit."""
+
+    @staticmethod
+    def slow_op(n=200):
+        # nonsymmetric, eigenvalues in a unit disc about 0.9: 143 steps to 1e-10
+        rng = np.random.default_rng(61)
+        a = rng.standard_normal((n, n)) / np.sqrt(n) + 0.9 * np.eye(n)
+        return gmres.LinearOperator(n, lambda v: a @ v), rng.uniform(-1, 1, n)
+
+    def test_memory_does_not_scale_with_maxit(self):
+        n = 3000
+        d = np.where(np.arange(n) % 2, 2.0, 1.0)   # two eigenvalues: 2 steps
+        op = gmres.LinearOperator(n, lambda v: d * v)
+        tracemalloc.start()
+        try:
+            x, stats = gmres.gmres(op, None, np.ones(n), tol=1e-12, maxit=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.converged and stats.iterations == 2
+        assert np.abs(d * x - 1.0).max() < 1e-12
+        assert peak < 1_000_000   # a maxit x maxit Hessenberg would be 72 MB
+
+    def test_bits_across_every_growth(self):
+        # sha256 of the residual history and of x, recorded before the
+        # workspace grew with the steps
+        op, b = self.slow_op()
+        x, stats = gmres.gmres(op, None, b, tol=1e-10, maxit=op.dim)
+        assert stats.converged and stats.iterations == 143
+        assert hashlib.sha256(np.array(stats.residuals).tobytes()).hexdigest() == (
+            "47b808fcde8d973bfbcd61ed4d928e5764f7cad5fdd4829fdc8fbdc62543f94e")
+        assert hashlib.sha256(x.tobytes()).hexdigest() == (
+            "938bc93b72d86f5777cce2616ab22e7a1759bbc73727244a80b3ccce6185ef6a")
+
+    def test_solution_taken_before_a_growth_stays_valid(self):
+        op, b = self.slow_op()
+        steps = gmres.arnoldi(op, None, b, op.dim)
+        solutions = [next(steps)[3] for _ in range(6)]
+        x5 = solutions[5]()
+        assert sum(1 for _ in steps) == 195   # steps 6..200
+        assert np.array_equal(solutions[5](), x5)
+        x, _ = gmres.gmres(op, None, b, tol=1e-14, maxit=5)
+        assert np.array_equal(x, x5)
 
 
 DEGREE_BOUNDS = [
