@@ -5,13 +5,18 @@ Blocks are stored unsigned; assembly applies the alternating sign pattern
 system is permutation-equivalent to an arrowhead matrix whose corner
 carries the negated middle block; ``ArrowheadSystem`` reads that layout
 off the three-block system without copying it.  ``schur_steps`` is the
-one copy of the nested Schur recursion: the exact preconditioners and the
-generation gate of ``random_system`` both consume it.
+one copy of the nested Schur recursion: the exact preconditioners, the
+LDU factors and the generation gate of ``random_system`` all consume it.
+The gate has to invert every S_i to accept a draw, so the accepted system
+keeps those (S_i, factor) steps, read-only, and ``schur_steps`` replays
+them: the exact nested presets, ``build_ldu`` and ``schurkit spectrum``
+invert nothing again.  A system built any other way (``load_system``, or
+by hand) forms its chain lazily on each call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -58,12 +63,14 @@ class BlockTridiagonalSystem:
 
     diag[i] is the unsigned diagonal block A_{i+1}; the assembled matrix
     carries (-1)**i * diag[i].  upper[i] sits on the superdiagonal and
-    lower[i] on the subdiagonal.
+    lower[i] on the subdiagonal.  ``random_system`` sets ``_chain`` to the
+    Schur steps its gate computed; otherwise it stays None.
     """
 
     diag: tuple
     upper: tuple
     lower: tuple
+    _chain: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "diag", tuple(_freeze(a) for a in self.diag))
@@ -104,16 +111,24 @@ def schur_steps(sys):
     """Yield (S_i, dense.lu_factor(S_i)) for i = 1..n, one complement at a time.
 
     S_1 = A_1, S_{i+1} = A_{i+1} + C_i S_i^{-1} B_i^T.  The factors carry
-    S_i^{-1} and its 1-norm condition number.  A consumer that stops
-    early never forms the later complements.  Raises SingularSchurError
-    identifying the first S_i that fails the singularity check (1-based).
+    S_i^{-1} and its 1-norm condition number; S_i and S_i^{-1} are
+    read-only.  A system from ``random_system`` replays the steps its
+    generation gate kept and factors nothing.  Otherwise the chain is
+    formed on each call, and a consumer that stops early never forms the
+    later complements.  Raises SingularSchurError identifying the first
+    S_i that fails the singularity check (1-based).
     """
+    if sys._chain is not None:
+        yield from sys._chain
+        return
     s = np.array(sys.diag[0])
     for i in range(sys.n):
         try:
             f = dense.lu_factor(s)
         except dense.SingularMatrixError as exc:
             raise SingularSchurError(i + 1, f"S_{i + 1} is singular: {exc}") from exc
+        s.setflags(write=False)
+        f.inv.setflags(write=False)
         yield s, f
         if i < sys.n - 1:
             s = sys.diag[i + 1] + sys.lower[i] @ dense.lu_solve(f, sys.upper[i])
@@ -232,12 +247,15 @@ def random_system(opts):
     diagonal boost.  Generation retries with the derived seed
     (seed, attempt) until every Schur complement in the nested chain
     factors with a 1-norm condition number at most CHAIN_CONDITION_LIMIT,
-    at most 100 attempts.
+    at most 100 attempts.  The accepted system keeps the chain the gate
+    computed (``schur_steps``).
     """
     for attempt in range(100):
         rng = np.random.default_rng((int(opts.seed), attempt))
         sys = _draw_system(rng, opts)
-        if _chain_ok(sys):
+        chain = _gated_chain(sys)
+        if chain is not None:
+            object.__setattr__(sys, "_chain", chain)
             return sys
     raise GenerationError(
         f"no invertible Schur chain after 100 attempts (seed {opts.seed})"
@@ -265,17 +283,20 @@ def _draw_system(rng, opts):
                                   lower=tuple(lower))
 
 
-def _chain_ok(sys):
+def _gated_chain(sys):
     # every nested Schur complement must pass the singularity check and
     # stay well conditioned in the 1-norm (the condition number lu_factor
-    # already computed); the chain stops at the first complement that fails
+    # already computed); the chain stops at the first complement that
+    # fails (None), or comes back whole
+    steps = []
     try:
-        for _, f in schur_steps(sys):
+        for s, f in schur_steps(sys):
             if f.cond > CHAIN_CONDITION_LIMIT:
-                return False
+                return None
+            steps.append((s, f))
     except SingularSchurError:
-        return False
-    return True
+        return None
+    return tuple(steps)
 
 
 # ---------------------------------------------------------------------------

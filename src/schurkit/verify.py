@@ -11,6 +11,7 @@ A polynomial is the tuple of its ascending float coefficients; numpy's
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -103,11 +104,18 @@ def predicted_polynomial(preset, n=None):
 
 def predicted_roots(preset, n=None):
     """Union (with multiplicity) of the roots of the predicted factors, in
-    factor order; numpy's ``polyroots`` gives each factor's roots sorted."""
-    roots = []
-    for c in predicted_polynomial(preset, n=n):
-        roots.extend(complex(z) for z in np.polynomial.polynomial.polyroots(c))
-    return roots
+    factor order; numpy's ``polyroots`` gives each factor's roots sorted.
+    A fresh list on every call."""
+    return list(_membership_target(preset, n)[0])
+
+
+@functools.lru_cache(maxsize=None)
+def _membership_target(preset, n):
+    # (predicted roots, membership tolerance): both depend on (preset, n)
+    # only, so every verify row of a preset shares one computation
+    roots = tuple(complex(z) for c in predicted_polynomial(preset, n=n)
+                  for z in np.polynomial.polynomial.polyroots(c))
+    return roots, membership_tolerance(roots)
 
 
 def annihilation_residual(t, factors):
@@ -149,17 +157,21 @@ def spectrum_membership(eigs, roots):
 
     Returns a SpectralReport whose membership list holds
     (eigenvalue, nearest root, distance) triples; callers compare the
-    distances with their own tolerance.
+    distances with their own tolerance.  All eigenvalue-root distances
+    come from one array operation, and a tie goes to the first root.  The
+    distance is ``np.hypot`` of the difference's parts, the libm call
+    Python's ``abs(complex)`` makes; numpy's complex ``abs`` can differ
+    from it in the last bit.
     """
     eigs = [complex(z) for z in eigs]
     roots = [complex(z) for z in roots]
     if not roots:
         raise ValueError("no predicted roots supplied")
-    membership = []
-    for z in eigs:
-        dists = [abs(z - r) for r in roots]
-        j = int(np.argmin(dists))
-        membership.append((z, roots[j], dists[j]))
+    d = np.array(eigs, dtype=complex)[:, None] - np.array(roots)
+    dist = np.hypot(d.real, d.imag)
+    nearest = dist.argmin(axis=1).tolist()
+    membership = [(z, roots[j], dj)
+                  for z, j, dj in zip(eigs, nearest, dist.min(axis=1).tolist())]
     min_re = min((z.real for z in eigs), default=math.inf)
     return SpectralReport(min_real_part=min_re, membership=membership)
 
@@ -333,8 +345,7 @@ def verify_preset(preset, seed, sizes, n=None):
     factors = predicted_polynomial(preset, n=nn)
     residual = annihilation_residual(t, factors)
     eigs = dense.eigenvalues(t)
-    roots = predicted_roots(preset, n=nn)
-    tol = membership_tolerance(roots)
+    roots, tol = _membership_target(preset, nn)
     report = spectrum_membership(eigs, roots)
     ok = (residual <= ANNIHILATION_TOL
           and report.max_membership_distance <= tol)

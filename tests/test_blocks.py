@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from schurkit import blocks
+from schurkit import blocks, dense, precond
 
 
 def scalar_threeblock():
@@ -220,6 +220,62 @@ class TestGenerationGate:
         for a, b in zip(got.diag + got.upper + got.lower,
                         draws[2].diag + draws[2].upper + draws[2].lower):
             assert np.array_equal(a, b)
+
+
+def count_lu_factor(monkeypatch):
+    """List that grows by one entry per dense.lu_factor call."""
+    calls = []
+    real = dense.lu_factor
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(dense, "lu_factor", counting)
+    return calls
+
+
+class TestKeptChain:
+    """A generated system keeps the Schur chain its gate computed."""
+
+    @pytest.mark.parametrize("sizes", [(9, 7, 5), (6, 5, 4, 3, 2)])
+    def test_exact_builds_replay_the_gate_chain(self, monkeypatch, sizes):
+        sys = blocks.random_system(blocks.SystemOptions(seed=16, sizes=sizes))
+        calls = count_lu_factor(monkeypatch)
+        for name in precond.NESTED_PRESETS:
+            if sys.n == 3 or name in precond.N_BLOCK_PRESETS:
+                precond.make_preconditioner(name, sys)
+        precond.build_ldu(sys)
+        assert calls == []
+        kept = list(blocks.schur_steps(sys))
+        direct = blocks.BlockTridiagonalSystem(sys.diag, sys.upper, sys.lower)
+        fresh = list(blocks.schur_steps(direct))
+        assert calls == [(m, m) for m in sizes]
+        for (s, f), (t, g) in zip(kept, fresh, strict=True):
+            assert s.tobytes() == t.tobytes() and f.inv.tobytes() == g.inv.tobytes()
+            assert f.cond == g.cond
+
+    def test_kept_steps_are_read_only(self):
+        sys = blocks.random_system(blocks.SystemOptions(seed=3, sizes=(4, 3, 2)))
+        for s, f in blocks.schur_steps(sys):
+            with pytest.raises(ValueError):
+                s[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                f.inv[0, 0] = 1.0
+
+    def test_replay_is_repeatable(self):
+        sys = blocks.random_system(blocks.SystemOptions(seed=3, sizes=(4, 3, 2)))
+        first, second = list(blocks.schur_steps(sys)), list(blocks.schur_steps(sys))
+        assert len(first) == 3
+        assert all(a is b and f is g for (a, f), (b, g) in zip(first, second))
+
+    def test_loaded_system_builds_its_own_chain(self, tmp_path, monkeypatch):
+        s = blocks.random_system(blocks.SystemOptions(seed=31, sizes=(3, 2, 4)))
+        manifest = blocks.write_blocks(tmp_path / "sys", s.diag, s.upper, s.lower)
+        loaded = blocks.load_system(manifest)
+        calls = count_lu_factor(monkeypatch)
+        precond.build_ldu(loaded)
+        assert calls == [(3, 3), (2, 2), (4, 4)]
 
 
 class TestManifest:

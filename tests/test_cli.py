@@ -126,6 +126,14 @@ class TestVerifyCommand:
         assert hashlib.sha256(out).hexdigest() == (
             "d777d0c504bf5a9468a8c60ae556d8e41026b177c31006fd230995330ef1535a")
 
+    def test_seed16_sweep_stdout_pinned(self, capsys):
+        # the seed-0 pin at a second seed, over the same row kinds: the
+        # nested, Q and n-block presets, LDU and Routh
+        assert run(["verify", "--n", "8", "--sizes", "9,7,5", "--seed", "16"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == (
+            "2b76914883612d9d93ef6fafabdb36a3e132b957b7e7787af25877e5b3b0844b")
+
     def test_numeric_fields_parse_as_floats(self, capsys):
         assert run(["verify", "--n", "8", "--sizes", "9,7,5", "--seed", "0"]) == 0
         lines = capsys.readouterr().out.splitlines()

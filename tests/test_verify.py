@@ -206,6 +206,14 @@ class TestPredictedPolynomials:
         for z in roots:
             assert min(abs(z - w) for w in expect) < 1e-12
 
+    def test_returned_list_is_fresh(self):
+        roots = verify.predicted_roots("Dn", n=4)
+        expect = list(roots)
+        roots.append(99.0)
+        roots[0] = 0j
+        assert verify.predicted_roots("Dn", n=4) == expect
+        assert verify.predicted_roots("Dn", n=4) is not verify.predicted_roots("Dn", n=4)
+
     def test_degrees(self):
         degree = {
             "P1": 3, "P2": 3, "P3": 3, "P4": 3,
@@ -378,6 +386,51 @@ class TestSpectrumMembership:
         eigs = dense.eigenvalues(t)
         rep = verify.spectrum_membership(eigs, target)
         assert rep.max_membership_distance < 1e-8
+
+    @staticmethod
+    def loop_oracle(eigs, roots):
+        # the per-eigenvalue Python loop: abs(complex), first minimum
+        out = []
+        for z in eigs:
+            dists = [abs(complex(z) - complex(r)) for r in roots]
+            j = dists.index(min(dists))
+            out.append((complex(z), complex(roots[j]), dists[j]))
+        return out
+
+    def test_matches_the_loop_bitwise(self):
+        # eigenvalues of real preconditioned operators, defective roots
+        # included, against their predicted roots
+        cases = []
+        for preset, n in (("PD2", 3), ("Dn", 8), ("Pn", 6), ("QD2", 3), ("Mn", 5)):
+            t, _, _ = verify.build_preconditioned(preset, 16, (9, 7, 5), n=n)
+            cases.append((dense.eigenvalues(t), verify.predicted_roots(preset, n=n)))
+        rng = np.random.default_rng(5)
+        roots = verify.predicted_roots("QD2")
+        near = [r + complex(*rng.normal(scale=1e-7, size=2)) for r in roots * 50]
+        cases.append((near, roots))
+        for eigs, roots in cases:
+            got = verify.spectrum_membership(eigs, roots).membership
+            assert repr(got) == repr(self.loop_oracle(eigs, roots))
+            assert all(type(d) is float for _, _, d in got)
+
+    def test_tie_and_conjugate_pair(self):
+        rep = verify.spectrum_membership(
+            [0.0, complex(0.5, 2.0), complex(0.5, -2.0)], [1.0, -1.0, 2j, -2j])
+        assert rep.membership == self.loop_oracle(
+            [0.0, complex(0.5, 2.0), complex(0.5, -2.0)], [1.0, -1.0, 2j, -2j])
+        assert rep.membership[0] == (0j, complex(1.0), 1.0)   # first of the tie
+        assert [r for _, r, _ in rep.membership[1:]] == [2j, -2j]
+        assert rep.membership[1][2] == rep.membership[2][2]
+        assert rep.min_real_part == 0.0
+
+    def test_empty_eigenvalues(self):
+        rep = verify.spectrum_membership([], [1.0, -1.0])
+        assert rep.membership == [] and rep.min_real_part == math.inf
+        assert rep.max_membership_distance == 0.0
+
+    def test_empty_roots_rejected(self):
+        with pytest.raises(ValueError, match="no predicted roots"):
+            verify.spectrum_membership([1.0], [])
 
 
 class TestPositiveStable:
