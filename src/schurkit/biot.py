@@ -41,8 +41,10 @@ class BiotParameters:
     source: float = 1.0
 
     def __post_init__(self):
-        if not self.nu < 0.5:
-            raise ValueError(f"Poisson ratio must be < 0.5, got {self.nu}")
+        if not self.E > 0:
+            raise ValueError(f"Young's modulus E must be positive, got {self.E}")
+        if not 0 < self.nu < 0.5:
+            raise ValueError(f"Poisson ratio nu must be in (0, 0.5), got {self.nu}")
 
     @property
     def lam(self):

@@ -5,13 +5,13 @@ Blocks are stored unsigned; assembly applies the alternating sign pattern
 system is permutation-equivalent to an arrowhead matrix whose corner
 carries the negated middle block; ``ArrowheadSystem`` reads that layout
 off the three-block system without copying it.  ``schur_steps`` is the
-one copy of the nested Schur recursion: the exact preconditioners, the
-LDU factors and the generation gate of ``random_system`` all consume it.
-The gate has to invert every S_i to accept a draw, so the accepted system
-keeps those (S_i, factor) steps, read-only, and ``schur_steps`` replays
-them: the exact nested presets, ``build_ldu`` and ``schurkit spectrum``
-invert nothing again.  A system built any other way (``load_system``, or
-by hand) forms its chain lazily on each call.
+one copy of the nested Schur recursion: the generation gate of
+``random_system``, the exact preconditioners (S_1 = A_1 also leads the
+additive complement) and the LDU factors all consume it.  Every system
+keeps the (S_i, factor) steps, read-only, the first time any consumer
+reaches them, and ``schur_steps`` replays them after that: a generated
+system's gate has already formed its whole chain, so nothing inverts a
+complement twice.
 """
 
 from __future__ import annotations
@@ -63,14 +63,14 @@ class BlockTridiagonalSystem:
 
     diag[i] is the unsigned diagonal block A_{i+1}; the assembled matrix
     carries (-1)**i * diag[i].  upper[i] sits on the superdiagonal and
-    lower[i] on the subdiagonal.  ``random_system`` sets ``_chain`` to the
-    Schur steps its gate computed; otherwise it stays None.
+    lower[i] on the subdiagonal.  ``_steps`` maps i to the Schur step
+    S_{i+1} once ``schur_steps`` has formed it.
     """
 
     diag: tuple
     upper: tuple
     lower: tuple
-    _chain: tuple = field(default=None, init=False, repr=False, compare=False)
+    _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "diag", tuple(_freeze(a) for a in self.diag))
@@ -112,26 +112,28 @@ def schur_steps(sys):
 
     S_1 = A_1, S_{i+1} = A_{i+1} + C_i S_i^{-1} B_i^T.  The factors carry
     S_i^{-1} and its 1-norm condition number; S_i and S_i^{-1} are
-    read-only.  A system from ``random_system`` replays the steps its
-    generation gate kept and factors nothing.  Otherwise the chain is
-    formed on each call, and a consumer that stops early never forms the
-    later complements.  Raises SingularSchurError identifying the first
-    S_i that fails the singularity check (1-based).
+    read-only.  Step i is formed the first time any walk reaches it and
+    kept on the system, so later walks replay it, and a walk that stops
+    early forms nothing past where it stopped.  Raises SingularSchurError
+    identifying the first S_i that fails the singularity check (1-based).
     """
-    if sys._chain is not None:
-        yield from sys._chain
-        return
-    s = np.array(sys.diag[0])
+    steps = sys._steps
     for i in range(sys.n):
-        try:
-            f = dense.lu_factor(s)
-        except dense.SingularMatrixError as exc:
-            raise SingularSchurError(i + 1, f"S_{i + 1} is singular: {exc}") from exc
-        s.setflags(write=False)
-        f.inv.setflags(write=False)
-        yield s, f
-        if i < sys.n - 1:
-            s = sys.diag[i + 1] + sys.lower[i] @ dense.lu_solve(f, sys.upper[i])
+        if i not in steps:
+            if i == 0:
+                s = np.array(sys.diag[0])
+            else:
+                s = sys.diag[i] + sys.lower[i - 1] @ dense.lu_solve(steps[i - 1][1],
+                                                                    sys.upper[i - 1])
+            try:
+                f = dense.lu_factor(s)
+            except dense.SingularMatrixError as exc:
+                raise SingularSchurError(i + 1, f"S_{i + 1} is singular: {exc}") from exc
+            s.setflags(write=False)
+            f.inv.setflags(write=False)
+            # a concurrent walk that kept step i first wins: one S_i per system
+            steps.setdefault(i, (s, f))
+        yield steps[i]
 
 
 @dataclass(frozen=True)
@@ -247,16 +249,17 @@ def random_system(opts):
     diagonal boost.  Generation retries with the derived seed
     (seed, attempt) until every Schur complement in the nested chain
     factors with a 1-norm condition number at most CHAIN_CONDITION_LIMIT,
-    at most 100 attempts.  The accepted system keeps the chain the gate
-    computed (``schur_steps``).
+    at most 100 attempts.  The gate is a ``schur_steps`` walk that stops
+    at the first complement that fails, so the accepted system keeps its
+    whole chain.
     """
     for attempt in range(100):
-        rng = np.random.default_rng((int(opts.seed), attempt))
-        sys = _draw_system(rng, opts)
-        chain = _gated_chain(sys)
-        if chain is not None:
-            object.__setattr__(sys, "_chain", chain)
-            return sys
+        sys = _draw_system(np.random.default_rng((int(opts.seed), attempt)), opts)
+        try:
+            if all(f.cond <= CHAIN_CONDITION_LIMIT for _, f in schur_steps(sys)):
+                return sys
+        except SingularSchurError:
+            pass
     raise GenerationError(
         f"no invertible Schur chain after 100 attempts (seed {opts.seed})"
     )
@@ -281,22 +284,6 @@ def _draw_system(rng, opts):
         diag[1] = np.zeros_like(diag[1])
     return BlockTridiagonalSystem(diag=tuple(diag), upper=tuple(upper),
                                   lower=tuple(lower))
-
-
-def _gated_chain(sys):
-    # every nested Schur complement must pass the singularity check and
-    # stay well conditioned in the 1-norm (the condition number lu_factor
-    # already computed); the chain stops at the first complement that
-    # fails (None), or comes back whole
-    steps = []
-    try:
-        for s, f in schur_steps(sys):
-            if f.cond > CHAIN_CONDITION_LIMIT:
-                return None
-            steps.append((s, f))
-    except SingularSchurError:
-        return None
-    return tuple(steps)
 
 
 # ---------------------------------------------------------------------------

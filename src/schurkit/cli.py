@@ -210,9 +210,11 @@ def cmd_biot(args, parser):
         parser.error("mesh sizes must be positive")
     if not all(t >= 0 for t in args.tau):
         parser.error("drop tolerances must be nonnegative")
-    for flag, values in (("--N", args.N), ("--tau", args.tau)):
+    # a tau's :g text names its table and file; abs folds -0.0 into 0
+    taus = [f"{abs(t):g}" for t in args.tau]
+    for flag, values in (("--N", args.N), ("--tau", taus)):
         if len(set(values)) < len(values):
-            parser.error(f"{flag} values must be distinct")
+            parser.error(f"{flag} values must be distinct as printed")
     if not args.tol > 0:
         parser.error("--tol must be positive")
     if args.maxit < 1:

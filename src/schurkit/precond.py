@@ -4,7 +4,8 @@ Two Schur constructions: the nested chain S_1 = A_1,
 S_{i+1} = A_{i+1} + C_i S_i^{-1} B_i^T for block-tridiagonal systems
 (built in ``blocks``, which also gates random generation on it), and
 the additive complement S = A_2 + C_1 A_1^{-1} B_1^T + B_2^T A_3^{-1} C_2
-of the arrowhead view of a three-block system.  Every named
+of the arrowhead view of a three-block system, which takes A_1^{-1} from
+that chain's S_1.  Every named
 preconditioner is a sign pattern over these blocks: block-diagonal ones
 solve with delta_i * S_i, block-triangular ones add gamma_i * C_i
 subdiagonal coupling with gamma_i = eps_i, which delta determines.
@@ -55,14 +56,17 @@ def additive_schur(sys):
     """Additive Schur complement of an arrowhead view.
 
     S = A_2 + C_1 A_1^{-1} B_1^T + B_2^T A_3^{-1} C_2: the corner is
-    assembled as -A_2 and the leading blocks with plus signs.
+    assembled as -A_2 and the leading blocks with plus signs.  A_1's
+    factor is step S_1 = A_1 of the system's nested chain.
     """
-    factors = []
-    for i, a in enumerate(sys.leading, start=1):
-        try:
-            factors.append(dense.lu_factor(a))
-        except dense.SingularMatrixError as exc:
-            raise SingularLeadingBlockError(i) from exc
+    try:
+        factors = [next(schur_steps(sys.system))[1]]
+    except SingularSchurError as exc:
+        raise SingularLeadingBlockError(1) from exc
+    try:
+        factors.append(dense.lu_factor(sys.leading[1]))
+    except dense.SingularMatrixError as exc:
+        raise SingularLeadingBlockError(2) from exc
     s = np.array(sys.corner)
     for f, row, col in zip(factors, sys.border_rows, sys.border_cols):
         s = s + row @ dense.lu_solve(f, col)
@@ -251,10 +255,11 @@ def make_preconditioner(name, system=None, *, sizes=None, solves=None,
             raise TypeError(f"{name} needs an arrowhead system")
         schur = additive_schur(system)
         sizes = system.sizes
-        leading = BlockDiagonalPreconditioner(
-            system.leading_sizes, [_lu_solver(f) for f in schur.leading_factors],
-            (1, 1))
-        solves = (leading.apply, _lu_solver(schur.factor))
+        f1, f3 = schur.leading_factors
+        m1 = system.leading_sizes[0]
+        solves = (lambda v: np.concatenate((dense.lu_solve(f1, v[:m1]),
+                                            dense.lu_solve(f3, v[m1:]))),
+                  _lu_solver(schur.factor))
         sub_matvecs = (_matvec(np.hstack(system.border_rows)),)
     elif system is not None:
         sizes = system.sizes

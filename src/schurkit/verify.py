@@ -417,10 +417,12 @@ def suite_presets(presets=None, n_sweep=None):
 
 
 def suite_dims(seed, sizes, presets=None, n_sweep=None):
-    """(row label, unknowns) of each system ``run_suite`` generates, in order."""
-    dims = [(preset, sum(hypothesis_options(preset, seed, sizes, n=nn).sizes))
-            for preset, nn in suite_presets(presets, n_sweep)]
-    return dims + [(f"ldu n={n}", sum(_cycle_sizes(sizes, n))) for n in LDU_RANGE]
+    """Yield (row label, unknowns) of each system ``run_suite`` generates,
+    in order and lazily, so a size guard stops at the first oversized row."""
+    for preset, nn in suite_presets(presets, n_sweep):
+        yield preset, sum(hypothesis_options(preset, seed, sizes, n=nn).sizes)
+    for n in LDU_RANGE:
+        yield f"ldu n={n}", sum(_cycle_sizes(sizes, n))
 
 
 def run_suite(seed, sizes, presets=None, n_sweep=None):

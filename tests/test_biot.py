@@ -68,6 +68,13 @@ class TestParameters:
         with pytest.raises(ValueError):
             biot.BiotParameters(nu=0.5)
 
+    @pytest.mark.parametrize("field,value", [
+        ("E", 0.0), ("E", -1.0), ("nu", 0.0), ("nu", -0.2)])
+    def test_nonpositive_material_rejected(self, field, value):
+        # lambda = 0 divides by zero in assembly; negative values fail in ichol
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            biot.BiotParameters(**{field: value})
+
 
 class TestAssembly:
     def test_dof_counts_before_bcs(self, params):

@@ -1,4 +1,6 @@
 import dataclasses
+import threading
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -236,7 +238,8 @@ def count_lu_factor(monkeypatch):
 
 
 class TestKeptChain:
-    """A generated system keeps the Schur chain its gate computed."""
+    """Every system keeps the Schur steps formed so far; a generated one
+    keeps the whole chain its gate walked."""
 
     @pytest.mark.parametrize("sizes", [(9, 7, 5), (6, 5, 4, 3, 2)])
     def test_exact_builds_replay_the_gate_chain(self, monkeypatch, sizes):
@@ -268,6 +271,57 @@ class TestKeptChain:
         first, second = list(blocks.schur_steps(sys)), list(blocks.schur_steps(sys))
         assert len(first) == 3
         assert all(a is b and f is g for (a, f), (b, g) in zip(first, second))
+
+    def test_hand_built_system_keeps_its_chain(self, monkeypatch):
+        s = blocks.random_system(blocks.SystemOptions(seed=31, sizes=(3, 2, 4)))
+        sys = blocks.BlockTridiagonalSystem(s.diag, s.upper, s.lower)
+        calls = count_lu_factor(monkeypatch)
+        first = list(blocks.schur_steps(sys))
+        assert calls == [(3, 3), (2, 2), (4, 4)]
+        second = list(blocks.schur_steps(sys))
+        assert len(calls) == 3
+        assert all(a is b and f is g for (a, f), (b, g) in zip(first, second))
+
+    def test_ldu_after_preconditioner_factors_nothing(self, monkeypatch):
+        s = blocks.random_system(blocks.SystemOptions(seed=31, sizes=(3, 2, 4)))
+        sys = blocks.BlockTridiagonalSystem(s.diag, s.upper, s.lower)
+        precond.make_preconditioner("P1", sys)
+        calls = count_lu_factor(monkeypatch)
+        precond.build_ldu(sys)
+        assert calls == []
+
+    def test_stopped_walk_resumes_where_it_stopped(self, monkeypatch):
+        s = blocks.random_system(blocks.SystemOptions(seed=16, sizes=(6, 5, 4, 3)))
+        sys = blocks.BlockTridiagonalSystem(s.diag, s.upper, s.lower)
+        calls = count_lu_factor(monkeypatch)
+        s1, f1 = next(blocks.schur_steps(sys))
+        assert calls == [(6, 6)]
+        steps = list(blocks.schur_steps(sys))
+        assert calls == [(6, 6), (5, 5), (4, 4), (3, 3)]
+        assert steps[0][0] is s1 and steps[0][1] is f1
+
+    def test_concurrent_walks_share_one_chain(self):
+        s = blocks.random_system(blocks.SystemOptions(seed=16, sizes=(6, 5, 4, 3)))
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                system = blocks.BlockTridiagonalSystem(s.diag, s.upper, s.lower)
+                walks = [None] * 4
+
+                def walk(k):
+                    walks[k] = list(blocks.schur_steps(system))
+
+                threads = [threading.Thread(target=walk, args=(k,)) for k in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                for w in walks:
+                    assert len(w) == 4 and all(a is b for a, b in zip(w, walks[0]))
+        finally:
+            setswitchinterval(interval)
 
     def test_loaded_system_builds_its_own_chain(self, tmp_path, monkeypatch):
         s = blocks.random_system(blocks.SystemOptions(seed=31, sizes=(3, 2, 4)))

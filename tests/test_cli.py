@@ -92,6 +92,21 @@ class TestVerifyCommand:
         assert captured.err == "size guard: Pn has 2100 > 2000 unknowns\n"
         assert captured.out == ""
 
+    def test_size_guard_stops_at_first_oversized_row(self, monkeypatch, capsys):
+        # the guard reads rows lazily: the N=2000 sweep has about 6,000 rows
+        # and the first over the limit is Pn near n=290
+        calls = []
+        real = cli.verify.hypothesis_options
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.verify, "hypothesis_options", counting)
+        assert run(["verify", "--n", "2000", "--sizes", "9,7,5"]) == 3
+        assert len(calls) < 1000
+        assert capsys.readouterr().err == "size guard: Pn has 2004 > 2000 unknowns\n"
+
     def test_size_guard_covers_ldu_rows(self, capsys):
         # every preset row has 900 unknowns; the LDU row at n=7 has 2100
         assert run(["verify", "--sizes", "300,300,300"]) == 3
@@ -371,6 +386,9 @@ class TestExitCodes:
         ["export", "--biot-N", "2", "--zero-tail", "--out", "d"],
         ["export", "--biot-N", "2", "--spd", "--out", "d"],
         ["export", "--biot-N", "2", "--zero-tail", "--spd", "--seed", "5", "--out", "d"],
+        # both taus print as 0.001, so their tables would share a file
+        ["biot", "--N", "4", "--tau", "1.0000001e-3,1e-3", "--format", "csv",
+         "--out", "b"],
     ])
     def test_usage_error_prints_subcommand_usage(self, argv, tmp_path, capsys):
         assert run(out_under(tmp_path, argv)) == 2

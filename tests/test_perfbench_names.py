@@ -47,6 +47,21 @@ def test_verify_workload_pass():
     assert result.wrong == [] and result.details["errors"] == {}
 
 
+def test_traced_verify_pass_counts_one_apply_per_preset():
+    # a class-level precond.apply span must not count a nested solve as a
+    # second apply: one per preconditioned_matrix, 33 in a one-seed pass
+    spans, workloads = load("spans"), load("workloads")
+    tracer = spans.Tracer()
+    workloads.install_spans(tracer, {})
+    try:
+        workloads.VerifyWorkload(0, n_seeds=1).run_pass(tracer)
+    finally:
+        tracer.uninstall()
+    names = [s[spans.NAME] for s in tracer.spans]
+    assert names.count("precond.apply") == names.count(
+        "precond.preconditioned_matrix") == 33
+
+
 def test_factor_stats_reads_the_biot_setup():
     workloads = load("workloads")
     params = biot.BiotParameters()

@@ -104,6 +104,42 @@ class TestAdditiveSchur:
             assert exc.value.index == index
 
 
+class TestAdditiveBuild:
+    """A Q preset reads A_1's factor from the nested chain and solves its
+    leading rows without a nested preconditioner."""
+
+    @pytest.mark.parametrize("name", precond.ADDITIVE_PRESETS)
+    def test_factors_only_a3_and_schur(self, monkeypatch, name):
+        opts = verify.hypothesis_options(name, seed=0, sizes=(9, 7, 5))
+        arrow = blocks.ArrowheadSystem(blocks.random_system(opts))
+        calls = []
+        real = dense.lu_factor
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return real(a)
+
+        monkeypatch.setattr(dense, "lu_factor", counting)
+        precond.make_preconditioner(name, arrow)
+        _, m2, m3 = arrow.system.sizes
+        assert calls == [(m3, m3), (m2, m2)]
+
+    @pytest.mark.parametrize("name", precond.ADDITIVE_PRESETS)
+    def test_apply_enters_one_preconditioner(self, monkeypatch, name):
+        # wrapped at the class before the build, as a tracer wraps them
+        entered = []
+        for cls in (precond.BlockDiagonalPreconditioner,
+                    precond.BlockTriangularPreconditioner):
+            def counting(self, v, _orig=cls.__dict__["apply"]):
+                entered.append(type(self).__name__)
+                return _orig(self, v)
+            monkeypatch.setattr(cls, "apply", counting)
+        s = blocks.random_system(blocks.SystemOptions(seed=49, sizes=(4, 3, 2)))
+        p = precond.make_preconditioner(name, blocks.ArrowheadSystem(s))
+        p.apply(np.ones(p.dim))
+        assert entered == [type(p).__name__]
+
+
 class TestMakePreconditioner:
     def test_p1_forward_substitution_example(self):
         sys3 = scalar_threeblock()
