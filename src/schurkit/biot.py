@@ -372,37 +372,48 @@ def build_biot_preconditioners(assembly, params, tau):
 BENCH_TOL = 4e-6
 
 
+def biot_rows(n_values, tau_values):
+    """Yield the benchmark rows (n, tau, assembly, operator, presets) in table
+    order, each set up when reached: one assembly per N, presets per (N, tau)."""
+    params = BiotParameters()
+    for n in n_values:
+        asm = assemble_biot(build_mesh(n), params)
+        op = biot_operator(asm)
+        for tau in tau_values:
+            yield n, tau, asm, op, build_biot_preconditioners(asm, params, tau)
+
+
+def solve_cell(row, name, tol=BENCH_TOL, maxit=1500):
+    """(count, stats, x) of GMRES with one preset on a ``biot_rows`` row: count
+    is the iteration count if GMRES converged within maxit, else None, and a
+    breakdown gives (None, None, None)."""
+    _, _, asm, op, pres = row
+    try:
+        x, stats = gmres(op, pres[name], asm.rhs, tol=tol, maxit=maxit)
+    except GmresBreakdownError:
+        return None, None, None
+    return (stats.iterations if stats.converged else None), stats, x
+
+
 def benchmark(n_values, tau_values, tol=BENCH_TOL, maxit=1500):
     """GMRES iteration counts over the (N, tau, preset) grid.
 
     Returns (tables, counts): one IterationTable per tau (rows are mesh
     sizes, columns the presets in table order) and a flat dict keyed by
-    (N, tau, preset).  A cell counts its GMRES iterations if GMRES
-    converged within maxit, and is None if it did not or broke down.
-    A table whose IC factors needed a diagonal shift names each such N
-    and block in a header note, since a restart changes the counts.
+    (N, tau, preset) of ``solve_cell`` counts.  A table whose IC factors
+    needed a diagonal shift names each such N and block in a header note,
+    since a restart changes the counts.
     """
-    params = BiotParameters()
     counts = {}
     shifted = {tau: [] for tau in tau_values}
-    for n in n_values:
-        mesh = build_mesh(n)
-        asm = assemble_biot(mesh, params)
-        op = biot_operator(asm)
-        for tau in tau_values:
-            pres = build_biot_preconditioners(asm, params, tau)
-            for block in ("u", "xi", "p"):
-                shift = getattr(pres, f"factor_{block}").shift
-                if shift:
-                    shifted[tau].append(f"N={n} {block} {shift:g}")
-            for name in BENCH_COLUMNS:
-                try:
-                    _, stats = gmres(op, pres[name], asm.rhs, tol=tol,
-                                     maxit=maxit)
-                    its = stats.iterations if stats.converged else None
-                except GmresBreakdownError:
-                    its = None
-                counts[(n, tau, name)] = its
+    for row in biot_rows(n_values, tau_values):
+        n, tau, _, _, pres = row
+        for block in ("u", "xi", "p"):
+            shift = getattr(pres, f"factor_{block}").shift
+            if shift:
+                shifted[tau].append(f"N={n} {block} {shift:g}")
+        for name in BENCH_COLUMNS:
+            counts[(n, tau, name)] = solve_cell(row, name, tol, maxit)[0]
 
     notes = (
         "rhs: body force (1,1), source 1, one implicit step from rest",

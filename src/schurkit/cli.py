@@ -10,6 +10,8 @@ dumps).  Exit codes: 0 success, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 
@@ -219,6 +221,10 @@ def cmd_biot(args, parser):
         parser.error("--tol must be positive")
     if args.maxit < 1:
         parser.error("--maxit must be at least 1")
+    # the tables are written after the whole sweep: a missing folder fails first
+    folder = os.path.dirname(args.out or "") or "."
+    if args.out is not None and not os.path.isdir(folder):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), folder)
     tables, counts = biot_mod.benchmark(args.N, args.tau, tol=args.tol,
                                         maxit=args.maxit)
     for tau, table in tables:

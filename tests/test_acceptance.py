@@ -184,15 +184,12 @@ def sign_twin_mismatches(tau_values):
     mesh, so the 16x16 mesh suffices.  Their iteration counts need not
     agree: GMRES minimizes the same norm over different Krylov spaces.
     """
-    params = biot.BiotParameters()
-    asm = biot.assemble_biot(biot.build_mesh(16), params)
-    e = np.ones(asm.total_size)
-    e[asm.total_size - asm.sizes[2]:] = -1.0
-    probes = {"rhs": asm.rhs,
-              "random": np.random.default_rng(0).standard_normal(asm.total_size)}
     bad = []
-    for tau in tau_values:
-        pres = biot.build_biot_preconditioners(asm, params, tau)
+    for _, tau, asm, _, pres in biot.biot_rows([16], tau_values):
+        e = np.ones(asm.total_size)
+        e[asm.total_size - asm.sizes[2]:] = -1.0
+        probes = {"rhs": asm.rhs,
+                  "random": np.random.default_rng(0).standard_normal(asm.total_size)}
         p2, p3 = pres["P2"], pres["P3"]
         # functions compare by identity, so P3 with its own factor fails here
         if (p3.solves, p3.sub_matvecs) != (p2.solves, p2.sub_matvecs):

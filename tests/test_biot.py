@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from schurkit import biot, blocks, precond, verify
-from schurkit.krylov import arnoldi, gmres
+from schurkit.krylov import arnoldi
 from schurkit.sparse import CsrMatrix, IcFactor, read_matrix_market, spmv
 
 
@@ -295,14 +295,12 @@ class TestPreconditioners:
         assert pres["P1"].sub_signs == (1, 1)
         assert pres["PD4"].diag_signs == (1, -1, -1)
 
-    def test_complete_factor_preconditioner_converges(self, params):
-        mesh = biot.build_mesh(8)
-        asm = biot.assemble_biot(mesh, params)
-        pres = biot.build_biot_preconditioners(asm, params, 0.0)
-        op = biot_operator = biot.biot_operator(asm)
-        x, stats = gmres(op, pres["P1"], asm.rhs, tol=1e-8, maxit=300)
-        assert stats.converged
-        r = asm.rhs - biot_operator.matvec(x)
+    def test_complete_factor_preconditioner_converges(self):
+        row = next(biot.biot_rows([8], [0.0]))
+        count, _, x = biot.solve_cell(row, "P1", tol=1e-8, maxit=300)
+        assert count is not None
+        _, _, asm, op, _ = row
+        r = asm.rhs - op.matvec(x)
         assert np.linalg.norm(r) / np.linalg.norm(asm.rhs) < 1e-6
 
     def test_negative_tau_rejected(self, asm4, params):
@@ -333,6 +331,21 @@ class TestBenchmark:
         assert table.col_labels == list(biot.BENCH_COLUMNS)
         assert biot.ordering_violations(counts, [16], [1e-3]) == []
 
+    def test_walk_sets_up_each_row_once_and_lazily(self, monkeypatch):
+        calls = {"assemble_biot": 0, "ichol": 0}
+        for fn_name in calls:
+            def counted(*args, fn=getattr(biot, fn_name), key=fn_name):
+                calls[key] += 1
+                return fn(*args)
+            monkeypatch.setattr(biot, fn_name, counted)
+        rows = biot.biot_rows([4, 6], [1e-2, 1e-3])
+        first = next(rows)
+        assert calls == {"assemble_biot": 1, "ichol": 3}
+        rest = list(rows)
+        assert calls == {"assemble_biot": 2, "ichol": 12}
+        assert [row[:2] for row in [first, *rest]] == [
+            (4, 1e-2), (4, 1e-3), (6, 1e-2), (6, 1e-3)]
+
     def test_nonzero_ic_shift_named_in_header(self, monkeypatch):
         # ichol runs per (N, tau) on the u, xi and p blocks in turn, so
         # calls 10 and 12 factor u and p at N=6, tau=1e-3
@@ -357,11 +370,9 @@ class TestBenchmark:
 
 
 @pytest.fixture(scope="module")
-def cell16(params):
-    """The N=16, tau=1e-3 benchmark cell: operator, rhs and the presets."""
-    asm = biot.assemble_biot(biot.build_mesh(16), params)
-    return (biot.biot_operator(asm), asm.rhs,
-            biot.build_biot_preconditioners(asm, params, 1e-3))
+def cell16():
+    """The benchmark's N=16, tau=1e-3 row."""
+    return next(biot.biot_rows([16], [1e-3]))
 
 
 # sha256 of SolveStats.residuals (as float64) and of x, per preset, for
@@ -392,9 +403,8 @@ SOLVE_DIGESTS = {
 class TestSolvePinned:
     @pytest.mark.parametrize("name", biot.BENCH_COLUMNS)
     def test_history_and_solution_bitwise(self, cell16, name):
-        op, rhs, pres = cell16
-        x, stats = gmres(op, pres[name], rhs, tol=biot.BENCH_TOL, maxit=1500)
-        assert stats.converged
+        count, stats, x = biot.solve_cell(cell16, name)
+        assert count is not None
         got = (hashlib.sha256(np.array(stats.residuals).tobytes()).hexdigest(),
                hashlib.sha256(x.tobytes()).hexdigest())
         assert got == SOLVE_DIGESTS[name]
@@ -442,8 +452,8 @@ class TestStoppingRules:
 
     def test_equal_true_accuracy_keeps_the_winners(self, cell16):
         # every preset stopped at the same unpreconditioned accuracy
-        op, rhs, pres = cell16
-        counts = {name: true_residual_count(op, pres[name], rhs, biot.BENCH_TOL)
+        _, _, asm, op, pres = cell16
+        counts = {name: true_residual_count(op, pres[name], asm.rhs, biot.BENCH_TOL)
                   for name in biot.BENCH_COLUMNS}
         assert family_counts(counts) == ((46, 49, 42, 71), (21, 40, 40, 39))
         cells = {(16, 1e-3, name): c for name, c in counts.items()}
@@ -456,8 +466,8 @@ class TestStoppingRules:
         (1500, ((41, 42, 37, 61), (19, 38, 38, 33))),
     ])
     def test_restarted_counts_keep_the_winners(self, cell16, m, want):
-        op, rhs, pres = cell16
-        counts = {name: restarted_count(op, pres[name], rhs, m)
+        _, _, asm, op, pres = cell16
+        counts = {name: restarted_count(op, pres[name], asm.rhs, m)
                   for name in biot.BENCH_COLUMNS}
         assert family_counts(counts) == want
         cells = {(16, 1e-3, name): c for name, c in counts.items()}

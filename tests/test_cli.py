@@ -291,6 +291,16 @@ class TestBiotCommand:
             "8x8,28,28,25,36,13,23,23,19\n"
             "16x16,41,42,37,61,19,38,38,33\n")
 
+    def test_missing_out_directory_fails_before_the_sweep(self, tmp_path,
+                                                          monkeypatch, capsys):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(schurkit.biot, "benchmark", sweep)
+        assert run(["biot", "--N", "4", "--out", str(tmp_path / "missing" / "b")]) == 4
+        assert capsys.readouterr().err.startswith("IO error: [Errno 2]")
+        assert list(tmp_path.iterdir()) == []
+
     def test_runs_under_cprofile(self, tmp_path):
         # a profile hook holds references that ndarray.resize's refcheck sees
         argv = ["-m", "schurkit", "biot", "--N", "4", "--format", "csv"]

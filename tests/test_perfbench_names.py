@@ -4,12 +4,16 @@ Its own tests are slow and run apart from this suite, so these tests make a
 renamed or deleted name fail here: ``install_spans`` looks every wrapped
 name up when it installs its wrappers, one verify pass calls the verify
 names the workload uses, and ``factor_stats``, which only a traced run
-calls, reads the Biot set-up and rebuilds its factors.
+calls, reads the Biot set-up and rebuilds its factors.  Until the Biot
+workload reads ``biot.biot_rows``, its own set-up and cell solve must give
+the walk's counts.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 from schurkit import biot, krylov, precond
 
@@ -64,12 +68,20 @@ def test_traced_verify_pass_counts_one_apply_per_preset():
 
 def test_factor_stats_reads_the_biot_setup():
     workloads = load("workloads")
-    params = biot.BiotParameters()
-    asm = biot.assemble_biot(biot.build_mesh(4), params)
-    pres = biot.build_biot_preconditioners(asm, params, 1e-3)
+    _, _, asm, _, pres = next(biot.biot_rows([4], [1e-3]))
     stats = workloads.factor_stats(asm, pres)
     factors = {"u": pres.factor_u, "xi": pres.factor_xi, "p": pres.factor_p}
     assert stats["nnz"] == {k: f.lower.nnz for k, f in factors.items()}
     assert stats["shift_max"] == max(f.shift for f in factors.values())
     assert stats["schedule_s"] > 0.0
     assert stats["fill_ratio_u"] >= 1.0 and stats["levels_u"] >= 1
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_biot_workload_counts_match_the_walk(n):
+    workloads = load("workloads")
+    result = workloads.BiotWorkload(n, 1e-3, biot.BENCH_COLUMNS).run_pass()
+    _, counts = biot.benchmark([n], [1e-3])
+    assert result.outcomes == tuple(counts[(n, 1e-3, name)]
+                                    for name in biot.BENCH_COLUMNS)
+    assert result.failed == 0 and result.wrong == []

@@ -208,9 +208,7 @@ class TestApply:
             p.apply(np.ones(shape))
 
     def test_ic_backed_apply_is_vector_only(self):
-        params = biot.BiotParameters()
-        asm = biot.assemble_biot(biot.build_mesh(4), params)
-        pres = biot.build_biot_preconditioners(asm, params, 1e-3)
+        *_, pres = next(biot.biot_rows([4], [1e-3]))
         for p in pres.by_name.values():
             with pytest.raises(ValueError):
                 p.apply(np.ones((p.dim, 2)))
