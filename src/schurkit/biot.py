@@ -41,10 +41,14 @@ class BiotParameters:
     source: float = 1.0
 
     def __post_init__(self):
-        if not self.E > 0:
-            raise ValueError(f"Young's modulus E must be positive, got {self.E}")
+        for name, value in (("Young's modulus E", self.E), ("permeability K", self.K),
+                            ("time step dt", self.dt)):
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if not 0 < self.nu < 0.5:
             raise ValueError(f"Poisson ratio nu must be in (0, 0.5), got {self.nu}")
+        if not self.c0 >= 0:
+            raise ValueError(f"storage coefficient c0 must be nonnegative, got {self.c0}")
 
     @property
     def lam(self):

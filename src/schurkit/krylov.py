@@ -172,30 +172,24 @@ class IterationTable:
         c = self.counts[i][j]
         return f">{self.maxit}" if c is None else str(c)
 
+    def _text_rows(self):
+        """The header row, then one row of cell texts per system."""
+        return [["system"] + list(self.col_labels)] + [
+            [str(r)] + [self.cell_text(i, j) for j in range(len(self.col_labels))]
+            for i, r in enumerate(self.row_labels)]
+
     def to_csv_lines(self):
-        lines = [f"# tol={self.tol!r} maxit={self.maxit}"]
-        for note in self.header_notes:
-            lines.append(f"# {note}")
-        lines.append(",".join(["system"] + list(self.col_labels)))
-        for i, row in enumerate(self.row_labels):
-            lines.append(",".join([str(row)] +
-                                  [self.cell_text(i, j)
-                                   for j in range(len(self.col_labels))]))
-        return lines
+        return ([f"# tol={self.tol!r} maxit={self.maxit}"]
+                + [f"# {note}" for note in self.header_notes]
+                + [",".join(row) for row in self._text_rows()])
 
     def to_markdown_lines(self):
-        cols = ["system"] + list(self.col_labels)
-        body = [[str(r)] + [self.cell_text(i, j)
-                            for j in range(len(self.col_labels))]
-                for i, r in enumerate(self.row_labels)]
-        widths = [max(len(cols[j]), *(len(row[j]) for row in body)) if body
-                  else len(cols[j]) for j in range(len(cols))]
-        lines = [f"<!-- tol={self.tol!r} maxit={self.maxit} -->"]
-        for note in self.header_notes:
-            lines.append(f"<!-- {note} -->")
-        lines.append("| " + " | ".join(c.ljust(w) for c, w in zip(cols, widths)) + " |")
-        lines.append("|" + "|".join("-" * (w + 2) for w in widths) + "|")
-        for row in body:
-            lines.append("| " + " | ".join(c.ljust(w)
-                                           for c, w in zip(row, widths)) + " |")
-        return lines
+        head, *body = self._text_rows()
+        widths = [max(len(c) for c in col) for col in zip(head, *body)]
+
+        def line(row):
+            return "| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |"
+        return ([f"<!-- tol={self.tol!r} maxit={self.maxit} -->"]
+                + [f"<!-- {note} -->" for note in self.header_notes]
+                + [line(head), "|" + "|".join("-" * (w + 2) for w in widths) + "|"]
+                + [line(row) for row in body])

@@ -138,7 +138,8 @@ class BlockTriangularPreconditioner(Preconditioner):
     def __init__(self, sizes, solves, diag_signs, sub_matvecs):
         super().__init__(sizes, solves, diag_signs)
         if len(sub_matvecs) != len(self.sizes) - 1:
-            raise ValueError("need n-1 subdiagonal couplings")
+            raise ValueError(f"{len(self.sizes) - 1} subdiagonal couplings expected, "
+                             f"{len(sub_matvecs)} given")
         self.sub_matvecs = tuple(sub_matvecs)
         self.sub_signs = epsilon_signs(self.diag_signs)[:-1]
 
@@ -270,9 +271,7 @@ def make_preconditioner(name, system=None, *, sizes=None, solves=None,
         raise ValueError(f"{name} needs two block sizes (leading, corner)")
     if family.endswith("diagonal"):
         return BlockDiagonalPreconditioner(sizes, solves, diag_signs)
-    if sub_matvecs is None or len(sub_matvecs) != len(sizes) - 1:
-        raise MissingSolverError(len(sizes))
-    return BlockTriangularPreconditioner(sizes, solves, diag_signs, sub_matvecs)
+    return BlockTriangularPreconditioner(sizes, solves, diag_signs, sub_matvecs or ())
 
 
 def preconditioned_matrix(p, a):

@@ -112,7 +112,8 @@ def csr_from_triplets(rows, cols, triplets):
     (rows, cols, values) passed as a tuple of three numpy arrays.
 
     Duplicate (i, j) entries are summed; entries that sum to exactly zero
-    are dropped.  Raises IndexError for out-of-range indices.
+    are dropped.  Raises ValueError for indices that are not whole numbers
+    and IndexError for out-of-range ones.
     """
     rows = int(rows)
     cols = int(cols)
@@ -123,8 +124,11 @@ def csr_from_triplets(rows, cols, triplets):
         t = list(triplets)
         arr = np.asarray(t, dtype=float) if t else np.empty((0, 3))
         ii, jj, vv = arr[:, 0], arr[:, 1], arr[:, 2]
-    ii = np.asarray(ii, dtype=np.int64)
-    jj = np.asarray(jj, dtype=np.int64)
+    ii, jj = np.asarray(ii), np.asarray(jj)
+    # float indices (a list of triples comes in as floats) must be whole
+    if any(x.dtype.kind == "f" and not np.array_equal(x, np.floor(x)) for x in (ii, jj)):
+        raise ValueError("triplet indices must be whole numbers")
+    ii, jj = ii.astype(np.int64, copy=False), jj.astype(np.int64, copy=False)
     vv = np.asarray(vv, dtype=float)
     if ii.size and (ii.min() < 0 or ii.max() >= rows or jj.min() < 0 or jj.max() >= cols):
         raise IndexError("triplet index out of range")
@@ -141,10 +145,7 @@ def csr_from_triplets(rows, cols, triplets):
         vv = summed
         keep = vv != 0.0
         ii, jj, vv = ii[keep], jj[keep], vv[keep]
-    offsets = np.zeros(rows + 1, dtype=np.int64)
-    if ii.size:
-        np.add.at(offsets, ii + 1, 1)
-    offsets = np.cumsum(offsets)
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(ii, minlength=rows))))
     return CsrMatrix(rows, cols, offsets, jj, vv)
 
 

@@ -338,20 +338,25 @@ def membership_tolerance(roots):
     return max(MEMBERSHIP_TOL_COMPUTED, 50.0 * float(np.finfo(float).eps) ** (1.0 / mult))
 
 
+def row_spectrum(preset, seed, sizes, n=3):
+    """(T, report): a preset row's exact P^{-1} A and its eigenvalues matched to
+    the predicted roots, for ``verify_preset`` and ``schurkit spectrum``;
+    three-block presets ignore n."""
+    t, _, _ = build_preconditioned(preset, seed, sizes, n=n)
+    return t, spectrum_membership(dense.eigenvalues(t),
+                                  _membership_target(preset, n)[0])
+
+
 def verify_preset(preset, seed, sizes, n=None):
     """One row of the verification suite for one preset and seed."""
     nn = n or 3   # three-block presets ignore it
-    t, _, _ = build_preconditioned(preset, seed, sizes, n=nn)
-    factors = predicted_polynomial(preset, n=nn)
-    residual = annihilation_residual(t, factors)
-    eigs = dense.eigenvalues(t)
-    roots, tol = _membership_target(preset, nn)
-    report = spectrum_membership(eigs, roots)
+    t, report = row_spectrum(preset, seed, sizes, n=nn)
+    residual = annihilation_residual(t, predicted_polynomial(preset, n=nn))
     ok = (residual <= ANNIHILATION_TOL
-          and report.max_membership_distance <= tol)
+          and report.max_membership_distance <= _membership_target(preset, nn)[1])
     detail = ""
     if pattern_positive_stable(_preset_signs(preset, nn)[1]):
-        stable = positive_stable(eigs, STABILITY_MARGIN)
+        stable = report.min_real_part > STABILITY_MARGIN
         ok = ok and stable
         detail = "positive-stable" if stable else "expected positive stability"
     label = f"{preset}(n={nn})" if preset in pc.N_BLOCK_PRESETS else preset

@@ -210,6 +210,7 @@ def biot_sweep():
     return n_values, tau_values, counts, time.perf_counter() - t0
 
 
+@pytest.mark.slow
 def test_criterion_07_biot_benchmark_trends(biot_sweep):
     # exact printed iteration counts are not reproducible (stopping rule,
     # right-hand side, and incomplete-factorization variant are free
@@ -243,6 +244,29 @@ def test_criterion_07_biot_benchmark_trends(biot_sweep):
         bad.append(f"(time) sweep took {elapsed:.0f}s, bound 600s")
     announce("criterion-7 poroelastic benchmark trends", not bad,
              " | ".join(bad) or f"({elapsed:.0f}s)")
+
+
+# the sweep's 48 counts, columns in biot.BENCH_COLUMNS order, as
+# `schurkit biot --N 16,32,64 --tau 1e-3,1e-4 --format csv` printed them with
+# the default BLAS thread count (one thread gave the same table)
+SWEEP_COUNTS = {
+    (16, 1e-3): (41, 42, 37, 61, 19, 38, 38, 33),
+    (32, 1e-3): (75, 79, 65, 136, 38, 66, 68, 79),
+    (64, 1e-3): (158, 184, 142, 378, 86, 151, 169, 228),
+    (16, 1e-4): (28, 28, 26, 37, 12, 23, 23, 19),
+    (32, 1e-4): (40, 38, 37, 55, 19, 36, 34, 30),
+    (64, 1e-4): (70, 73, 63, 117, 37, 65, 64, 68),
+}
+
+
+@pytest.mark.slow
+def test_criterion_07_counts_match_the_recorded_table(biot_sweep):
+    _, _, counts, _ = biot_sweep
+    changed = [f"N={n} tau={tau:g} {name}: {counts[(n, tau, name)]}, recorded {want}"
+               for (n, tau), row in SWEEP_COUNTS.items()
+               for name, want in zip(biot.BENCH_COLUMNS, row)
+               if counts[(n, tau, name)] != want]
+    assert len(counts) == 48 and not changed, "; ".join(changed)
 
 
 def test_criterion_08_ldu_reconstruction():

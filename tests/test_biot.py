@@ -69,9 +69,11 @@ class TestParameters:
             biot.BiotParameters(nu=0.5)
 
     @pytest.mark.parametrize("field,value", [
-        ("E", 0.0), ("E", -1.0), ("nu", 0.0), ("nu", -0.2)])
+        ("E", 0.0), ("E", -1.0), ("nu", 0.0), ("nu", -0.2),
+        ("dt", 0.0), ("dt", -1.0), ("K", 0.0), ("K", -1.0), ("c0", -5.0)])
     def test_nonpositive_material_rejected(self, field, value):
-        # lambda = 0 divides by zero in assembly; negative values fail in ichol
+        # lambda = 0 divides by zero in assembly; negative values fail in
+        # ichol, and c0 < 0 makes the pressure block indefinite
         with pytest.raises(ValueError, match=f"{field} must be"):
             biot.BiotParameters(**{field: value})
 

@@ -185,6 +185,16 @@ class TestMakePreconditioner:
                 (1, 1, 1), [lambda v: v] * 4, (1, 1, 1), [lambda v: v] * 2)
         assert not isinstance(exc.value, precond.MissingSolverError)
 
+    @pytest.mark.parametrize("couplings", [None, [], [lambda v: v], [lambda v: v] * 3],
+                             ids=["none", "empty", "one", "three"])
+    def test_triangular_preset_names_the_coupling_count(self, couplings):
+        given = len(couplings or ())
+        with pytest.raises(ValueError,
+                           match=f"2 subdiagonal couplings expected, {given} given") as exc:
+            precond.make_preconditioner("P1", sizes=(1, 1, 1), solves=[lambda v: v] * 3,
+                                        sub_matvecs=couplings)
+        assert not isinstance(exc.value, precond.MissingSolverError)
+
     @pytest.mark.parametrize("name", ["Dn", "Mn", "Pn", "P1", "PD3"])
     def test_nested_preset_rejects_arrowhead(self, name):
         s = blocks.random_system(blocks.SystemOptions(seed=1, sizes=(3, 2, 2)))

@@ -127,6 +127,15 @@ class TestTriplets:
         assert csr_equal(a, sparse.csr_from_triplets(3, 3, tr))
         assert np.array_equal(a.to_dense(), np.diag([1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize("triplets", [
+        [(0.5, 1.7, 1.0)],
+        [(0, float("nan"), 1.0)],
+        (np.array([0]), np.array([1.5]), np.array([1.0])),
+    ], ids=["triples", "nan", "columns"])
+    def test_fractional_index_rejected(self, triplets):
+        with pytest.raises(ValueError, match="whole numbers"):
+            sparse.csr_from_triplets(2, 2, triplets)
+
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             sparse.csr_from_triplets(2, 2, [(2, 0, 1.0)])
