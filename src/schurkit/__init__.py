@@ -8,7 +8,7 @@ from .precond import (AdditiveSchur, additive_schur, make_preconditioner,
                       preconditioned_matrix)
 from .sparse import CsrMatrix, csr_from_triplets, ic_solve, ichol, spmv
 from .verify import (annihilation_residual, coefficient_law_check,
-                     pbar_polynomials, positive_stable, predicted_polynomial,
+                     pbar_polynomials, predicted_polynomial,
                      routh_table, spectrum_membership)
 
 __version__ = "0.1.0"
@@ -22,6 +22,6 @@ __all__ = [
     "preconditioned_matrix",
     "CsrMatrix", "csr_from_triplets", "ic_solve", "ichol", "spmv",
     "annihilation_residual", "coefficient_law_check",
-    "pbar_polynomials", "positive_stable", "predicted_polynomial",
+    "pbar_polynomials", "predicted_polynomial",
     "routh_table", "spectrum_membership",
 ]

@@ -41,6 +41,17 @@ class BiotParameters:
     source: float = 1.0
 
     def __post_init__(self):
+        for name in ("E", "nu", "alpha", "c0", "K", "dt", "source"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        try:
+            force = np.asarray(self.body_force, dtype=float)
+        except (TypeError, ValueError):
+            force = None
+        if force is None or force.shape != (2,) or not np.isfinite(force).all():
+            raise ValueError(
+                f"body_force must be two finite numbers, got {self.body_force!r}")
         for name, value in (("Young's modulus E", self.E), ("permeability K", self.K),
                             ("time step dt", self.dt)):
             if not value > 0:

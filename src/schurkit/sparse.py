@@ -8,14 +8,14 @@ All kernels are sequential / deterministic.
 An IcFactor holds L, L^T and a plan per sweep: its blocks in the order the
 solve runs them, each with views of its rows and its diagonal inverse.
 
-The incomplete Cholesky builds one column of L per step with a fixed
-number of numpy calls.  The updates of all earlier columns go into the
+The incomplete Cholesky builds one column of L per step.  An earlier
+column waits in the list of the row of its next unapplied entry; column j
+takes row j's list, latest first, which is the order the linked list of a
+classic left-looking kernel visits it, and applies all its updates to the
 work vector through one np.subtract.at, which applies repeated indices in
-order; the contributing columns are sorted by when they were last queued,
-latest first, which is the order the per-row linked list of a classic
-left-looking kernel visits them.  Each entry of the work vector therefore
-sees the same floating-point subtractions in the same order, and L is
-bitwise the same as with the linked-list walk.
+order.  Each entry of the work vector therefore sees the same
+floating-point subtractions in the same order, and L is bitwise the same
+as with the linked-list walk.
 """
 
 from __future__ import annotations
@@ -217,15 +217,16 @@ def _ict_columns(n, ro, ci, vv, shifted_diag, tau, sqrt_diag):
     |l_ij| >= tau*sqrt(a_ii*a_jj).  The columns go into one flat store,
     diagonal first, so the store is L^T in CSR.
 
-    Column k waits on row nextrow[k], the row of its next unapplied
-    entry, so the contributors of j are the k with nextrow[k] == j.  Their
-    updates are applied by one np.subtract.at, in the order in which the
+    Column k waits in the list of row r, the row of its next unapplied
+    entry (ptr[k] is that entry's place in the store).  Column j takes its
+    own row's list and applies it latest first, the order in which the
     classic kernel walks its linked list of contributors (a LIFO per row;
-    tests/test_sparse.py keeps that walk as the oracle): k was last queued in iteration step[k] // (n+1), at its rank
-    step[k] % (n+1) in that iteration's traversal, where a column queued
-    at the end of its own iteration has rank n.  Later pushes come first,
-    so sorting the contributors by step, descending, gives every w[r] the
-    same sequence of subtractions, and L stays bitwise the same.
+    tests/test_sparse.py keeps that walk as the oracle), by one
+    np.subtract.at; every w[r] then sees the same sequence of
+    subtractions, and L stays bitwise the same.  Each contributor then
+    moves on to the list of its next row, in that order, and j joins the
+    list of its first row below the diagonal.  Only rows still ahead hold
+    a list.
 
     w is zero outside the rows column j touches, and a touched row whose
     value ends exactly zero is dropped anyway, so the candidate rows are
@@ -235,9 +236,8 @@ def _ict_columns(n, ro, ci, vv, shifted_diag, tau, sqrt_diag):
     w = np.zeros(n)
     # in_a[r] is set while r is in the pattern of A's column j
     in_a = np.zeros(n, dtype=bool)
-    nextrow = np.full(n, -1, dtype=np.int64)
     ptr = np.zeros(n, dtype=np.int64)
-    step = np.zeros(n, dtype=np.int64)
+    waiting = {}
     # first entry of each row of A on or right of the diagonal
     row_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(ro))
     upper = ro[:-1] + np.bincount(row_of[ci < row_of], minlength=n)
@@ -250,8 +250,7 @@ def _ict_columns(n, ro, ci, vv, shifted_diag, tau, sqrt_diag):
         rows_a = ci[a0:a1]
         w[rows_a] = vv[a0:a1]
         w[j] = shifted_diag[j]
-        ks = np.flatnonzero(nextrow[:j] == j)
-        ks = ks[np.argsort(-step[ks])]
+        ks = np.array(waiting.pop(j, ())[::-1], dtype=np.int64)
         pos = ptr[ks]
         ends = offsets[ks + 1]
         cnt = ends - pos
@@ -285,15 +284,14 @@ def _ict_columns(n, ro, ci, vv, shifted_diag, tau, sqrt_diag):
         rows_l[s + 1:e] = rows_j
         vals_l[s + 1:e] = cand[keep]
         offsets[j + 1] = e
-        # a column past its last entry reads the next column's diagonal,
-        # row k+1 <= j, which no later iteration looks for
         pos += 1
         ptr[ks] = pos
-        nextrow[ks] = rows_l[pos]
-        step[ks] = j * (n + 1) + np.arange(ks.size)
+        more = pos < ends
+        for k, r in zip(ks[more].tolist(), rows_l[pos[more]].tolist()):
+            waiting.setdefault(r, []).append(k)
         ptr[j] = s + 1
-        nextrow[j] = rows_l[s + 1] if e > s + 1 else -1
-        step[j] = j * (n + 1) + n
+        if rows_j.size:
+            waiting.setdefault(int(rows_j[0]), []).append(j)
     rows_l.resize(offsets[n], refcheck=False)
     vals_l.resize(offsets[n], refcheck=False)
     return CsrMatrix(n, n, offsets, rows_l, vals_l)
@@ -332,15 +330,16 @@ def _block_step(tri, r0, r1, inv):
     return (r0, r1, tri.values[s:e], tri.col_indices[s:e], ro[r0:r1] - s, inv)
 
 
-def _block_solve(plan, b):
+def _block_solve(plan, b, width):
     """Solve with a triangular factor, one block of k rows at a time.
 
     x starts at zero, so the entries of a block's own columns, its
     diagonal included, add nothing to the row sums of its slice; every
-    row holds its diagonal, so no reduceat segment is empty.
+    row holds its diagonal, so no reduceat segment is empty.  The gather
+    buffer holds width entries, at least the most any block has.
     """
     x = np.zeros(b.size)
-    buf = np.empty(max((cols.size for _, _, _, cols, _, _ in plan), default=0))
+    buf = np.empty(width)
     for r0, r1, vals, cols, starts, inv in plan:
         # CsrMatrix range-checked the columns, so "clip" never clips; with
         # it take writes into buf instead of into a copy it would discard
@@ -363,6 +362,8 @@ class IcFactor:
     # the steps of the forward (L) and backward (L^T) sweeps, see _block_step
     _lower_plan: list = field(init=False, repr=False)
     _upper_plan: list = field(init=False, repr=False)
+    # entries of the widest block step of either sweep: its buffer size
+    _width: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self._upper is None:
@@ -375,6 +376,8 @@ class IcFactor:
             self._lower_plan.append(_block_step(self.lower, r0, r1, inv))
             self._upper_plan.append(_block_step(self._upper, r0, r1, inv.T))
         self._upper_plan.reverse()
+        self._width = max((step[3].size for step in self._lower_plan + self._upper_plan),
+                          default=0)
 
     @property
     def n(self):
@@ -428,7 +431,7 @@ def ic_solve(f, b):
     b = np.asarray(b, dtype=float)
     if b.shape != (f.n,):
         raise ValueError(f"vector length {b.shape} does not match n={f.n}")
-    return _block_solve(f._upper_plan, _block_solve(f._lower_plan, b))
+    return _block_solve(f._upper_plan, _block_solve(f._lower_plan, b, f._width), f._width)
 
 
 # ---------------------------------------------------------------------------

@@ -102,17 +102,11 @@ def predicted_polynomial(preset, n=None):
     return pattern_factors(*_preset_signs(preset, n))
 
 
-def predicted_roots(preset, n=None):
-    """Union (with multiplicity) of the roots of the predicted factors, in
-    factor order; numpy's ``polyroots`` gives each factor's roots sorted.
-    A fresh list on every call."""
-    return list(_membership_target(preset, n)[0])
-
-
 @functools.lru_cache(maxsize=None)
 def _membership_target(preset, n):
-    # (predicted roots, membership tolerance): both depend on (preset, n)
-    # only, so every verify row of a preset shares one computation
+    # (predicted roots with multiplicity, in factor order; membership
+    # tolerance): both depend on (preset, n) only, so every verify row of
+    # a preset shares one computation
     roots = tuple(complex(z) for c in predicted_polynomial(preset, n=n)
                   for z in np.polynomial.polynomial.polyroots(c))
     return roots, membership_tolerance(roots)
@@ -174,16 +168,6 @@ def spectrum_membership(eigs, roots):
                   for z, j, dj in zip(eigs, nearest, dist.min(axis=1).tolist())]
     min_re = min((z.real for z in eigs), default=math.inf)
     return SpectralReport(min_real_part=min_re, membership=membership)
-
-
-def positive_stable(eigs, margin=0.0):
-    """True iff every eigenvalue has real part strictly above the margin."""
-    if margin < 0:
-        raise ValueError("margin must be >= 0")
-    eigs = [complex(z) for z in eigs]
-    if not eigs:
-        raise ValueError("empty eigenvalue list")
-    return min(z.real for z in eigs) > margin
 
 
 # ---------------------------------------------------------------------------

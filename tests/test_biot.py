@@ -77,6 +77,15 @@ class TestParameters:
         with pytest.raises(ValueError, match=f"{field} must be"):
             biot.BiotParameters(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("body_force", (1.0,)), ("body_force", (1.0, np.nan)), ("source", np.nan),
+        ("alpha", np.nan), ("E", np.inf), ("K", np.inf), ("dt", np.inf), ("c0", np.inf)])
+    def test_malformed_value_rejected(self, field, value):
+        # each used to fail only in assemble_biot (IndexError, or the CSR
+        # finiteness check) or to give a NaN right-hand side
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            biot.BiotParameters(**{field: value})
+
 
 class TestAssembly:
     def test_dof_counts_before_bcs(self, params):

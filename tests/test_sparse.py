@@ -580,6 +580,11 @@ class TestIcholOracle:
         for block in (s_xi, sparse.csr_scale(s_p, -1.0)):
             self.assert_same_as_oracle(block, tau)
 
+    @pytest.mark.parametrize("tau", [1e-3, 1e-4])
+    def test_biot_displacement_block(self, tau, biot8):
+        # the block whose columns have the most contributors
+        self.assert_same_as_oracle(biot8.a_u, tau)
+
 
 class TestIcholMemory:
     # The traced peak of ichol over the bytes of the factor it returns: L,

@@ -184,35 +184,32 @@ class TestRecurrences:
             verify.pbar_polynomials(0)
 
 
+def membership_roots(preset, n=3):
+    """The predicted roots verify_preset matches a row's eigenvalues to."""
+    return verify._membership_target(preset, n)[0]
+
+
 class TestPredictedPolynomials:
     def test_pd1_root_set(self):
-        roots = sorted(verify.predicted_roots("PD1"),
+        roots = sorted(membership_roots("PD1"),
                        key=lambda z: (z.real, z.imag))
         printed = [-1.2470, -0.6180, 0.4450, 1.0, 1.6180, 1.8019]
         assert max(abs(z - w) for z, w in zip(roots, printed)) < 1e-4
         assert max(abs(z.imag) for z in roots) < 1e-12
 
     def test_qd1_nonzero_roots(self):
-        roots = sorted(verify.predicted_roots("QD1"),
+        roots = sorted(membership_roots("QD1"),
                        key=lambda z: (z.real, z.imag))
         golden = (1 + math.sqrt(5)) / 2
         expect = [1 - golden, 0.0, 1.0, golden]
         assert max(abs(z - w) for z, w in zip(roots, expect)) < 1e-12
 
     def test_qd2_nonzero_roots(self):
-        roots = verify.predicted_roots("QD2")
+        roots = membership_roots("QD2")
         expect = {complex(0.0), complex(1.0),
                   complex(0.5, math.sqrt(3) / 2), complex(0.5, -math.sqrt(3) / 2)}
         for z in roots:
             assert min(abs(z - w) for w in expect) < 1e-12
-
-    def test_returned_list_is_fresh(self):
-        roots = verify.predicted_roots("Dn", n=4)
-        expect = list(roots)
-        roots.append(99.0)
-        roots[0] = 0j
-        assert verify.predicted_roots("Dn", n=4) == expect
-        assert verify.predicted_roots("Dn", n=4) is not verify.predicted_roots("Dn", n=4)
 
     def test_degrees(self):
         degree = {
@@ -403,9 +400,9 @@ class TestSpectrumMembership:
         cases = []
         for preset, n in (("PD2", 3), ("Dn", 8), ("Pn", 6), ("QD2", 3), ("Mn", 5)):
             t, _, _ = verify.build_preconditioned(preset, 16, (9, 7, 5), n=n)
-            cases.append((dense.eigenvalues(t), verify.predicted_roots(preset, n=n)))
+            cases.append((dense.eigenvalues(t), membership_roots(preset, n=n)))
         rng = np.random.default_rng(5)
-        roots = verify.predicted_roots("QD2")
+        roots = membership_roots("QD2")
         near = [r + complex(*rng.normal(scale=1e-7, size=2)) for r in roots * 50]
         cases.append((near, roots))
         for eigs, roots in cases:
@@ -431,22 +428,6 @@ class TestSpectrumMembership:
     def test_empty_roots_rejected(self):
         with pytest.raises(ValueError, match="no predicted roots"):
             verify.spectrum_membership([1.0], [])
-
-
-class TestPositiveStable:
-    def test_alternating_diagonal_spectrum_is_stable(self):
-        eigs = [0.5698, 0.2151, 0.5, 1.0]
-        assert verify.positive_stable(eigs)
-
-    def test_all_minus_diagonal_spectrum_is_not(self):
-        eigs = [complex(-0.7549), complex(1.0), complex(0.5, 0.866)]
-        assert not verify.positive_stable(eigs)
-
-    def test_singleton(self):
-        assert verify.positive_stable([complex(1.0)])
-
-    def test_margin(self):
-        assert not verify.positive_stable([1e-9], margin=1e-8)
 
 
 class TestRouthTable:
