@@ -16,7 +16,7 @@ complement twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +57,11 @@ def _freeze(a):
     return m
 
 
+def _seal(a):
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class BlockTridiagonalSystem:
     """Blocks of the n-tuple block-tridiagonal form.
@@ -65,17 +70,24 @@ class BlockTridiagonalSystem:
     carries (-1)**i * diag[i].  upper[i] sits on the superdiagonal and
     lower[i] on the subdiagonal.  ``_steps`` maps i to the Schur step
     S_{i+1} once ``schur_steps`` has formed it.
+
+    The blocks are read-only copies of what the caller passed, checked
+    as finite real matrices, so no caller can change a block under the
+    kept chain.  ``_owned=True`` is for ``random_system``'s fresh draws
+    alone, arrays that nothing outside the system references: they are
+    made read-only in place instead.
     """
 
     diag: tuple
     upper: tuple
     lower: tuple
     _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "diag", tuple(_freeze(a) for a in self.diag))
-        object.__setattr__(self, "upper", tuple(_freeze(a) for a in self.upper))
-        object.__setattr__(self, "lower", tuple(_freeze(a) for a in self.lower))
+    def __post_init__(self, _owned):
+        take = _seal if _owned else _freeze
+        for name in ("diag", "upper", "lower"):
+            object.__setattr__(self, name, tuple(take(a) for a in getattr(self, name)))
         n = len(self.diag)
         if n < 2:
             raise ValueError("need at least two diagonal blocks")
@@ -185,6 +197,17 @@ class ArrowheadSystem:
         return np.r_[0:m1, m1 + m2:m1 + m2 + m3, m1:m1 + m2]
 
 
+def _whole(name, v):
+    """``v`` as an int; ValueError naming the field unless it is a whole number."""
+    try:
+        i = int(v)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != v:
+        raise ValueError(f"{name}: expected a whole number, got {v!r}")
+    return i
+
+
 @dataclass(frozen=True)
 class SystemOptions:
     """Knobs for seeded random system generation.
@@ -203,7 +226,9 @@ class SystemOptions:
     zero_middle: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        # canonical ints: run_suite shares one draw per distinct options
+        object.__setattr__(self, "seed", _whole("seed", self.seed))
+        object.__setattr__(self, "sizes", tuple(_whole("sizes", s) for s in self.sizes))
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if len(self.sizes) < 2:
@@ -251,10 +276,11 @@ def random_system(opts):
     factors with a 1-norm condition number at most CHAIN_CONDITION_LIMIT,
     at most 100 attempts.  The gate is a ``schur_steps`` walk that stops
     at the first complement that fails, so the accepted system keeps its
-    whole chain.
+    whole chain.  Each attempt owns the arrays it draws, so they are made
+    read-only in place, not copied.
     """
     for attempt in range(100):
-        sys = _draw_system(np.random.default_rng((int(opts.seed), attempt)), opts)
+        sys = _draw_system(np.random.default_rng((opts.seed, attempt)), opts)
         try:
             if all(f.cond <= CHAIN_CONDITION_LIMIT for _, f in schur_steps(sys)):
                 return sys
@@ -283,7 +309,7 @@ def _draw_system(rng, opts):
     if opts.zero_middle:
         diag[1] = np.zeros_like(diag[1])
     return BlockTridiagonalSystem(diag=tuple(diag), upper=tuple(upper),
-                                  lower=tuple(lower))
+                                  lower=tuple(lower), _owned=True)
 
 
 # ---------------------------------------------------------------------------

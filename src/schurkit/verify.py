@@ -249,7 +249,7 @@ def hypothesis_options(preset, seed, sizes, n=None):
     polynomial identity holds, by family: block-diagonal presets get a zero
     tail, additive block-diagonal ones a zero (smallest) middle block; n is
     read only by the n-block presets."""
-    sizes = tuple(int(s) for s in sizes)
+    sizes = tuple(sizes)
     if preset in pc.N_BLOCK_PRESETS:
         nn = n or len(sizes)
         if pc.preset_pattern(preset, n=nn)[0] == "diagonal":
@@ -276,14 +276,16 @@ def _tail_sizes(sizes, n):
     return tuple(base - i for i in range(n))
 
 
-def build_preconditioned(preset, seed, sizes, n=None):
+def build_preconditioned(preset, seed, sizes, n=None, draw=None):
     """Generate a hypothesis system and form the preset's exact P^{-1} A.
 
     Returns (T, system, operator-matrix) where for the additive presets
     the system is the arrowhead view and the operator its assembly.
+    ``draw`` maps SystemOptions to a system (``run_suite`` passes one that
+    shares its draws); None draws afresh with ``random_system``.
     """
     opts = hypothesis_options(preset, seed, sizes, n=n)
-    sys3 = random_system(opts)
+    sys3 = (draw or random_system)(opts)
     if preset in pc.ADDITIVE_PRESETS:
         system = ArrowheadSystem(sys3)
         a = assemble_arrowhead(system)
@@ -322,19 +324,19 @@ def membership_tolerance(roots):
     return max(MEMBERSHIP_TOL_COMPUTED, 50.0 * float(np.finfo(float).eps) ** (1.0 / mult))
 
 
-def row_spectrum(preset, seed, sizes, n=3):
+def row_spectrum(preset, seed, sizes, n=3, draw=None):
     """(T, report): a preset row's exact P^{-1} A and its eigenvalues matched to
     the predicted roots, for ``verify_preset`` and ``schurkit spectrum``;
     three-block presets ignore n."""
-    t, _, _ = build_preconditioned(preset, seed, sizes, n=n)
+    t, _, _ = build_preconditioned(preset, seed, sizes, n=n, draw=draw)
     return t, spectrum_membership(dense.eigenvalues(t),
                                   _membership_target(preset, n)[0])
 
 
-def verify_preset(preset, seed, sizes, n=None):
+def verify_preset(preset, seed, sizes, n=None, draw=None):
     """One row of the verification suite for one preset and seed."""
     nn = n or 3   # three-block presets ignore it
-    t, report = row_spectrum(preset, seed, sizes, n=nn)
+    t, report = row_spectrum(preset, seed, sizes, n=nn, draw=draw)
     residual = annihilation_residual(t, predicted_polynomial(preset, n=nn))
     ok = (residual <= ANNIHILATION_TOL
           and report.max_membership_distance <= _membership_target(preset, nn)[1])
@@ -353,12 +355,12 @@ def verify_preset(preset, seed, sizes, n=None):
 LDU_RANGE = range(2, 9)
 
 
-def verify_ldu(seed, sizes, n_range=LDU_RANGE):
+def verify_ldu(seed, sizes, n_range=LDU_RANGE, draw=None):
     """LDU reconstruction rows: relative Frobenius error per block count."""
     rows = []
     for n in n_range:
         opts = SystemOptions(seed=seed, sizes=_cycle_sizes(sizes, n))
-        sys_n = random_system(opts)
+        sys_n = (draw or random_system)(opts)
         a = assemble(sys_n)
         l, d, u = pc.build_ldu(sys_n)
         err = float(np.linalg.norm(l @ d @ u - a) / np.linalg.norm(a))
@@ -418,10 +420,15 @@ def run_suite(seed, sizes, presets=None, n_sweep=None):
     """Full verification sweep; returns PresetCheck rows.
 
     The preset rows (``suite_presets``), then the LDU and Routh rows.
+    Each distinct system is drawn once and shared, read-only, by every
+    row that reads it (P1-P4, Pn(3) and the n=3 LDU row read one), and
+    only for the length of this call.
     """
-    rows = [verify_preset(preset, seed, sizes, n=nn)
+    # random_system is looked up at each call, so a wrapper on it sees the draws
+    draw = functools.cache(lambda opts: random_system(opts))
+    rows = [verify_preset(preset, seed, sizes, n=nn, draw=draw)
             for preset, nn in suite_presets(presets, n_sweep)]
-    rows.extend(verify_ldu(seed, sizes))
+    rows.extend(verify_ldu(seed, sizes, draw=draw))
     rows.extend(verify_routh())
     return rows
 

@@ -182,6 +182,79 @@ class TestRandomSystem:
         with pytest.raises(ValueError):
             s.diag[0][0, 0] = 99.0
 
+    @pytest.mark.parametrize("flags", [{}, {"zero_tail": True}, {"symmetric_spd": True},
+                                       {"zero_middle": True}])
+    def test_every_drawn_block_is_read_only(self, flags):
+        # a draw's blocks are sealed in place; symmetric_spd's lower blocks
+        # may be views of the upper ones, and they are sealed too
+        s = blocks.random_system(blocks.SystemOptions(seed=12, sizes=(5, 4, 3), **flags))
+        for a in s.diag + s.upper + s.lower:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 99.0
+        if flags.get("symmetric_spd"):
+            for bt, c in zip(s.upper, s.lower):
+                assert np.array_equal(c, bt.T)
+
+    @pytest.mark.parametrize("seed,sizes,field", [
+        (2.7, (4, 3, 2), "seed"),
+        (float("nan"), (4, 3, 2), "seed"),
+        (float("inf"), (4, 3, 2), "seed"),
+        ("3", (4, 3, 2), "seed"),
+        (2, (4.9, 3.2, 2), "sizes"),
+        (2, (4, float("nan"), 2), "sizes"),
+        (2, (4, 3, None), "sizes"),
+    ])
+    def test_fractional_or_nan_options_rejected(self, seed, sizes, field):
+        # int() used to truncate them: seed=2.7, sizes=(4.9, 3.2, 2) drew
+        # the seed-2 (4, 3, 2) system, and a NaN seed failed inside numpy
+        with pytest.raises(ValueError, match=f"^{field}: expected a whole number"):
+            blocks.SystemOptions(seed=seed, sizes=sizes)
+
+    def test_whole_number_options_are_canonical(self):
+        # run_suite shares a draw per distinct options, so equal options
+        # must compare and hash equal whatever numeric type they came in
+        plain = blocks.SystemOptions(seed=2, sizes=(4, 3, 2))
+        for other in (blocks.SystemOptions(seed=2.0, sizes=[4.0, np.int64(3), 2]),
+                      blocks.SystemOptions(seed=np.int32(2), sizes=np.array([4, 3, 2]))):
+            assert other == plain and hash(other) == hash(plain)
+            assert type(other.seed) is int and all(type(s) is int for s in other.sizes)
+
+
+class TestCallerArrays:
+    def test_system_is_unchanged_when_caller_arrays_change(self):
+        # the public constructor copies: a caller's writable array never
+        # ends up inside a system, nor under a Schur step it keeps
+        rng = np.random.default_rng(51)
+        diag = [rng.uniform(-1, 1, (s, s)) + s * np.eye(s) for s in (4, 3, 2)]
+        upper = [rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (3, 2))]
+        lower = [rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (2, 3))]
+        sys = blocks.BlockTridiagonalSystem(diag=tuple(diag), upper=tuple(upper),
+                                            lower=tuple(lower))
+        before = [a.copy() for a in sys.diag + sys.upper + sys.lower]
+        steps = [(s.copy(), f.inv.copy()) for s, f in blocks.schur_steps(sys)]
+        for a in diag + upper + lower:
+            assert a.flags.writeable
+            a[...] = 7.0
+        for a, b in zip(sys.diag + sys.upper + sys.lower, before):
+            assert np.array_equal(a, b) and not a.flags.writeable
+        for (s, f), (s0, inv0) in zip(blocks.schur_steps(sys), steps):
+            assert np.array_equal(s, s0) and np.array_equal(f.inv, inv0)
+        fresh = blocks.BlockTridiagonalSystem(
+            diag=tuple(before[:3]), upper=tuple(before[3:5]), lower=tuple(before[5:]))
+        for (s, _), (s1, _) in zip(blocks.schur_steps(sys), blocks.schur_steps(fresh)):
+            assert np.array_equal(s, s1)
+
+    def test_caller_read_only_arrays_are_copied_too(self):
+        # a read-only array is no promise: its owner can make it writable again
+        a = np.eye(2)
+        a.setflags(write=False)
+        sys = blocks.BlockTridiagonalSystem(diag=(a, a), upper=(a,), lower=(a,))
+        assert all(not np.shares_memory(b, a) for b in sys.diag + sys.upper + sys.lower)
+        a.setflags(write=True)
+        a[0, 0] = 5.0
+        assert sys.diag[0][0, 0] == 1.0
+
 
 def oracle_chain_condition(sys):
     """Largest 1-norm condition number over the nested Schur chain."""

@@ -45,6 +45,24 @@ class TestLuFactor:
             a = rng.uniform(-1.0, 1.0, (n, n))
             assert dense.lu_factor(a).cond == np.linalg.cond(a, 1)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cond_is_the_norm_product_bitwise(self, seed):
+        # lu_factor sums the columns itself; the bits must be np.linalg.norm's
+        rng = np.random.default_rng(300 + seed)
+        for n in (1, 2, 5, 9, 16, 33):
+            a = rng.uniform(-1.0, 1.0, (n, n)) * 10.0 ** rng.uniform(-3, 3, n)
+            f = dense.lu_factor(a)
+            want = float(np.linalg.norm(a, 1) * np.linalg.norm(np.linalg.inv(a), 1))
+            assert f.cond.hex() == want.hex()
+
+    def test_singularity_threshold_is_exact(self):
+        # condition exactly 1/PIVOT_RTOL is singular; one ulp below is not
+        assert 1.0 / dense.PIVOT_RTOL == 1e14
+        with pytest.raises(dense.SingularMatrixError, match="1.000e[+]14 is not below"):
+            dense.lu_factor(np.diag([1.0, 1e-14]))
+        f = dense.lu_factor(np.diag([1.0, np.nextafter(1e-14, 1.0)]))
+        assert f.cond == np.nextafter(1e14, 0.0)
+
     def test_singularity_threshold(self):
         # condition 1e15 is singular, 1e13 is not (threshold 1/PIVOT_RTOL)
         with pytest.raises(dense.SingularMatrixError):

@@ -493,6 +493,15 @@ class TestCoefficientLaw:
             verify.coefficient_law_check(2)
 
 
+def record_draws(monkeypatch):
+    """List that grows by the options of each ``verify.random_system`` call."""
+    draws = []
+    real = verify.random_system
+    monkeypatch.setattr(verify, "random_system",
+                        lambda opts: draws.append(opts) or real(opts))
+    return draws
+
+
 class TestSuite:
     @pytest.mark.parametrize("preset", verify.DEFAULT_VERIFY_PRESETS)
     def test_default_presets_pass(self, preset):
@@ -538,26 +547,49 @@ class TestSuite:
         assert all(r.passed for r in rows)
 
     def test_generated_systems_pinned(self, monkeypatch):
-        # sha256 of the blocks of every random_system draw in
-        # run_suite(0, (9, 7, 5), n_sweep=8): 33 preset rows and 7 LDU rows.
-        # Recorded with the hand-written pivoted LU; a flipped accept/reject
-        # decision of the generation gate changes it.
+        # sha256 of the blocks of the system each row of
+        # run_suite(0, (9, 7, 5), n_sweep=8) assembles, in row order: 33
+        # preset rows and 7 LDU rows.  Recorded with the hand-written pivoted
+        # LU, when every row drew its own system; a flipped accept/reject
+        # decision of the generation gate changes it.  The 40 rows share 16
+        # distinct systems, and each is drawn once.
         h = hashlib.sha256()
-        draws = []
-        real = verify.random_system
+        consumed = []
 
-        def recording(opts):
-            sys = real(opts)
-            draws.append(opts)
-            for a in sys.diag + sys.upper + sys.lower:
-                h.update(a.tobytes())
-            return sys
+        def hashing(real, system_of):
+            def wrapper(x):
+                s = system_of(x)
+                consumed.append(s)
+                for a in s.diag + s.upper + s.lower:
+                    h.update(a.tobytes())
+                return real(x)
+            return wrapper
 
-        monkeypatch.setattr(verify, "random_system", recording)
+        monkeypatch.setattr(verify, "assemble", hashing(verify.assemble, lambda s: s))
+        monkeypatch.setattr(verify, "assemble_arrowhead",
+                            hashing(verify.assemble_arrowhead, lambda a: a.system))
+        draws = record_draws(monkeypatch)
         rows = verify.run_suite(0, (9, 7, 5), n_sweep=8)
-        assert len(draws) == 40 and all(r.passed for r in rows)
+        assert len(consumed) == 40 and all(r.passed for r in rows)
+        assert len(draws) == len(set(draws)) == 16
+        assert len({id(s) for s in consumed}) == 16
         assert h.hexdigest() == (
             "b7a8048536d5e31722c1a1e642619358aa1a581c20c06a2baf6a6e3bd6dbcc6a")
+
+    def test_default_suite_draws_each_system_once(self, monkeypatch):
+        # 14 preset rows and 7 LDU rows read 9 distinct systems: P1-P4, Q1,
+        # Q2, Pn(3) and the n=3 LDU row share one
+        draws = record_draws(monkeypatch)
+        verify.run_suite(7, (4, 3, 2))
+        assert len(draws) == len(set(draws)) == 9
+
+    def test_draws_are_shared_within_one_call_only(self, monkeypatch):
+        draws = record_draws(monkeypatch)
+        first, second = (verify.report_csv_rows(
+            verify.run_suite(3, (4, 3, 2), presets=("P1", "P2"))) for _ in range(2))
+        assert first == second
+        # each call draws its own (4, 3, 2) system and the six other LDU ones
+        assert len(draws) == 14 and len(set(draws)) == 7
 
     @pytest.mark.parametrize("n_sweep", [0, 1])
     def test_sweep_below_two_rejected(self, n_sweep):
