@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import os
 import sys
 
@@ -172,7 +173,8 @@ def cmd_verify(args, parser):
     if args.n is not None and args.n < 2:
         parser.error("--n must be at least 2")
     _check_sizes(presets or verify.DEFAULT_VERIFY_PRESETS, args.sizes, parser)
-    if _size_guard(verify.suite_dims(args.seed, args.sizes, presets, args.n)):
+    if _size_guard((preset or f"ldu n={n}", sum(opts.sizes)) for preset, n, opts
+                   in verify.suite_rows(args.seed, args.sizes, presets, args.n)):
         return EXIT_GUARD
     rows = verify.run_suite(args.seed, args.sizes, presets=presets,
                             n_sweep=args.n)
@@ -194,8 +196,9 @@ def cmd_spectrum(args, parser):
     if _size_guard(dims):
         return EXIT_GUARD
     lines = ["preset,re,im,root_re,root_im,distance"]
+    draw = functools.cache(lambda opts: verify.random_system(opts))   # one per system
     for preset in presets:
-        _, report = verify.row_spectrum(preset, args.seed, args.sizes, n=args.n)
+        _, report = verify.row_spectrum(preset, args.seed, args.sizes, args.n, draw)
         for z, root, dist in report.membership:
             lines.append(f"{preset},{z.real!r},{z.imag!r},"
                          f"{root.real!r},{root.imag!r},{dist!r}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,33 +84,37 @@ def pattern_positive_stable(diag_signs):
     return all(e == 1 for e in pc.epsilon_signs(diag_signs))
 
 
-def _preset_signs(preset, n):
-    """(family, diag signs) of a preset; three-block presets ignore n."""
+def block_count(preset, n=None, sizes=None):
+    """Blocks of a verify row: 3 for a three-block preset, which ignores n;
+    for an n-block preset the given n, else ``len(sizes)``, which must be
+    an integer n >= 2."""
     if preset not in pc.N_BLOCK_PRESETS:
-        n = 3
-    elif n is None:
-        raise ValueError(f"{preset} needs n")
-    return pc.preset_pattern(preset, n=n)
+        return 3
+    n = len(sizes) if n is None and sizes is not None else n
+    if not (isinstance(n, (int, np.integer)) and n >= 2):
+        raise ValueError(f"{preset} needs an integer block count n >= 2, got n={n!r}")
+    return int(n)
 
 
 def predicted_polynomial(preset, n=None):
-    """Annihilating-polynomial factors for a preset's preconditioned operator.
+    """Annihilating-polynomial factors, a list of ascending coefficient
+    tuples, of a preset's preconditioned operator under its hypothesis (the
+    diagonal and additive block-diagonal families assume zero blocks)."""
+    return list(_prediction(preset, block_count(preset, n)).factors)
 
-    Returns a list of ascending coefficient tuples whose product the operator
-    satisfies under the preset's hypothesis (the diagonal and additive
-    block-diagonal families assume the relevant zero diagonal blocks).
-    """
-    return pattern_factors(*_preset_signs(preset, n))
+
+Prediction = namedtuple("Prediction", "factors roots tol positive_stable")
 
 
 @functools.lru_cache(maxsize=None)
-def _membership_target(preset, n):
-    # (predicted roots with multiplicity, in factor order; membership
-    # tolerance): both depend on (preset, n) only, so every verify row of
-    # a preset shares one computation
-    roots = tuple(complex(z) for c in predicted_polynomial(preset, n=n)
+def _prediction(preset, n):
+    # one record per (preset, block count); roots repeat with multiplicity
+    family, diag = pc.preset_pattern(preset, n=n)
+    factors = tuple(pattern_factors(family, diag))
+    roots = tuple(complex(z) for c in factors
                   for z in np.polynomial.polynomial.polyroots(c))
-    return roots, membership_tolerance(roots)
+    return Prediction(factors, roots, membership_tolerance(roots),
+                      pattern_positive_stable(diag))
 
 
 def annihilation_residual(t, factors):
@@ -247,16 +252,15 @@ def coefficient_law_check(k, tol=1e-10):
 def hypothesis_options(preset, seed, sizes, n=None):
     """SystemOptions satisfying the hypothesis under which the preset's
     polynomial identity holds, by family: block-diagonal presets get a zero
-    tail, additive block-diagonal ones a zero (smallest) middle block; n is
-    read only by the n-block presets."""
-    sizes = tuple(sizes)
-    if preset in pc.N_BLOCK_PRESETS:
-        nn = n or len(sizes)
-        if pc.preset_pattern(preset, n=nn)[0] == "diagonal":
-            return SystemOptions(seed=seed, sizes=_tail_sizes(sizes, nn), zero_tail=True)
-        return SystemOptions(seed=seed, sizes=_cycle_sizes(sizes, nn))
-    family = pc.preset_pattern(preset)[0]
-    if len(sizes) < 3:
+    tail, additive block-diagonal ones a zero (smallest) middle block.  The
+    row has ``block_count(preset, n, sizes)`` blocks."""
+    sizes, n = tuple(sizes), block_count(preset, n, sizes)
+    family = pc.preset_pattern(preset, n=n)[0]
+    if preset in pc.N_BLOCK_PRESETS and family == "diagonal":
+        base = max(*sizes, n + 1)
+        return SystemOptions(seed=seed, sizes=tuple(range(base, base - n, -1)),
+                             zero_tail=True)
+    if len(sizes) < 3 and preset not in pc.N_BLOCK_PRESETS:
         raise ValueError(f"{preset} is a three-block preset and needs three sizes, "
                          f"got {len(sizes)}")
     s = sorted(sizes[:3], reverse=True)
@@ -264,16 +268,12 @@ def hypothesis_options(preset, seed, sizes, n=None):
         return SystemOptions(seed=seed, sizes=tuple(s), zero_tail=True)
     if family == "additive-diagonal":
         return SystemOptions(seed=seed, sizes=(s[0], s[2], s[1]), zero_middle=True)
-    return SystemOptions(seed=seed, sizes=sizes[:3])
+    return _cycled_options(seed, sizes, n)
 
 
-def _cycle_sizes(sizes, n):
-    return tuple(sizes[i % len(sizes)] for i in range(n))
-
-
-def _tail_sizes(sizes, n):
-    base = max(max(sizes), n + 1)
-    return tuple(base - i for i in range(n))
+def _cycled_options(seed, sizes, n):
+    # n blocks cycling through sizes: the triangular hypotheses and the LDU rows
+    return SystemOptions(seed=seed, sizes=tuple(sizes[i % len(sizes)] for i in range(n)))
 
 
 def build_preconditioned(preset, seed, sizes, n=None, draw=None):
@@ -281,8 +281,8 @@ def build_preconditioned(preset, seed, sizes, n=None, draw=None):
 
     Returns (T, system, operator-matrix) where for the additive presets
     the system is the arrowhead view and the operator its assembly.
-    ``draw`` maps SystemOptions to a system (``run_suite`` passes one that
-    shares its draws); None draws afresh with ``random_system``.
+    ``draw`` maps SystemOptions to a system (``run_suite`` and ``schurkit
+    spectrum`` share theirs per call); None draws with ``random_system``.
     """
     opts = hypothesis_options(preset, seed, sizes, n=n)
     sys3 = (draw or random_system)(opts)
@@ -324,28 +324,29 @@ def membership_tolerance(roots):
     return max(MEMBERSHIP_TOL_COMPUTED, 50.0 * float(np.finfo(float).eps) ** (1.0 / mult))
 
 
-def row_spectrum(preset, seed, sizes, n=3, draw=None):
+def row_spectrum(preset, seed, sizes, n=None, draw=None):
     """(T, report): a preset row's exact P^{-1} A and its eigenvalues matched to
-    the predicted roots, for ``verify_preset`` and ``schurkit spectrum``;
-    three-block presets ignore n."""
+    the predicted roots, for ``verify_preset`` and ``schurkit spectrum``.
+    The row has ``block_count(preset, n, sizes)`` blocks."""
+    n = block_count(preset, n, sizes)
     t, _, _ = build_preconditioned(preset, seed, sizes, n=n, draw=draw)
-    return t, spectrum_membership(dense.eigenvalues(t),
-                                  _membership_target(preset, n)[0])
+    return t, spectrum_membership(dense.eigenvalues(t), _prediction(preset, n).roots)
 
 
 def verify_preset(preset, seed, sizes, n=None, draw=None):
-    """One row of the verification suite for one preset and seed."""
-    nn = n or 3   # three-block presets ignore it
-    t, report = row_spectrum(preset, seed, sizes, n=nn, draw=draw)
-    residual = annihilation_residual(t, predicted_polynomial(preset, n=nn))
-    ok = (residual <= ANNIHILATION_TOL
-          and report.max_membership_distance <= _membership_target(preset, nn)[1])
+    """One row of the verification suite for one preset and seed, checked
+    against the cached prediction of its (preset, block count)."""
+    n = block_count(preset, n, sizes)
+    t, report = row_spectrum(preset, seed, sizes, n=n, draw=draw)
+    pred = _prediction(preset, n)
+    residual = annihilation_residual(t, pred.factors)
+    ok = residual <= ANNIHILATION_TOL and report.max_membership_distance <= pred.tol
     detail = ""
-    if pattern_positive_stable(_preset_signs(preset, nn)[1]):
+    if pred.positive_stable:
         stable = report.min_real_part > STABILITY_MARGIN
         ok = ok and stable
         detail = "positive-stable" if stable else "expected positive stability"
-    label = f"{preset}(n={nn})" if preset in pc.N_BLOCK_PRESETS else preset
+    label = f"{preset}(n={n})" if preset in pc.N_BLOCK_PRESETS else preset
     return PresetCheck(kind="preset", name=label, seed=seed, residual=residual,
                        min_real_part=report.min_real_part,
                        max_membership_distance=report.max_membership_distance,
@@ -359,8 +360,7 @@ def verify_ldu(seed, sizes, n_range=LDU_RANGE, draw=None):
     """LDU reconstruction rows: relative Frobenius error per block count."""
     rows = []
     for n in n_range:
-        opts = SystemOptions(seed=seed, sizes=_cycle_sizes(sizes, n))
-        sys_n = (draw or random_system)(opts)
+        sys_n = (draw or random_system)(_cycled_options(seed, sizes, n))
         a = assemble(sys_n)
         l, d, u = pc.build_ldu(sys_n)
         err = float(np.linalg.norm(l @ d @ u - a) / np.linalg.norm(a))
@@ -389,12 +389,13 @@ def verify_routh(k_max=12):
     return rows
 
 
-def suite_presets(presets=None, n_sweep=None):
-    """(preset, n) of each preset row of ``run_suite``, in its order.
+def suite_rows(seed, sizes, presets=None, n_sweep=None):
+    """Yield (preset, n, SystemOptions) of each preset row, then each LDU
+    row (preset None), that ``run_suite`` checks, in order and lazily.
 
     presets=None selects DEFAULT_VERIFY_PRESETS; an empty selection is an
-    error.  An n sweep adds rows for every n-block family (Mn included) at
-    each n = 2..n_sweep, so n_sweep must be at least 2.
+    error.  A preset row has n = 3; an n sweep instead gives every n-block
+    family (Mn included) a row at each n = 2..n_sweep (n_sweep >= 2).
     """
     if n_sweep is not None and n_sweep < 2:
         raise ValueError(f"n_sweep must be at least 2, got {n_sweep}")
@@ -402,35 +403,29 @@ def suite_presets(presets=None, n_sweep=None):
         presets = DEFAULT_VERIFY_PRESETS + (("Mn",) if n_sweep else ())
     elif not presets:
         raise ValueError("empty preset selection")
-    return [(preset, nn) for preset in presets
-            for nn in (range(2, n_sweep + 1)
-                       if n_sweep and preset in pc.N_BLOCK_PRESETS else (3,))]
-
-
-def suite_dims(seed, sizes, presets=None, n_sweep=None):
-    """Yield (row label, unknowns) of each system ``run_suite`` generates,
-    in order and lazily, so a size guard stops at the first oversized row."""
-    for preset, nn in suite_presets(presets, n_sweep):
-        yield preset, sum(hypothesis_options(preset, seed, sizes, n=nn).sizes)
+    for preset in presets:
+        for n in (range(2, n_sweep + 1)
+                  if n_sweep and preset in pc.N_BLOCK_PRESETS else (3,)):
+            yield preset, n, hypothesis_options(preset, seed, sizes, n=n)
     for n in LDU_RANGE:
-        yield f"ldu n={n}", sum(_cycle_sizes(sizes, n))
+        yield None, n, _cycled_options(seed, sizes, n)
 
 
 def run_suite(seed, sizes, presets=None, n_sweep=None):
     """Full verification sweep; returns PresetCheck rows.
 
-    The preset rows (``suite_presets``), then the LDU and Routh rows.
+    One row per ``suite_rows`` row, in its order, then the Routh rows.
     Each distinct system is drawn once and shared, read-only, by every
     row that reads it (P1-P4, Pn(3) and the n=3 LDU row read one), and
     only for the length of this call.
     """
     # random_system is looked up at each call, so a wrapper on it sees the draws
     draw = functools.cache(lambda opts: random_system(opts))
-    rows = [verify_preset(preset, seed, sizes, n=nn, draw=draw)
-            for preset, nn in suite_presets(presets, n_sweep)]
-    rows.extend(verify_ldu(seed, sizes, draw=draw))
-    rows.extend(verify_routh())
-    return rows
+    rows = []
+    for preset, n, _ in suite_rows(seed, sizes, presets, n_sweep):
+        rows += ([verify_preset(preset, seed, sizes, n=n, draw=draw)] if preset
+                 else verify_ldu(seed, sizes, n_range=(n,), draw=draw))
+    return rows + verify_routh()
 
 
 # default CLI verification row set: the twelve named three-block/additive

@@ -224,6 +224,20 @@ class TestSpectrumCommand:
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == SPECTRUM_SEED0[preset]
 
+    def test_draws_each_system_once(self, monkeypatch, capsys):
+        # 15 presets read 4 systems: the plain (9, 7, 5) one (P1-P4, Pn, Q1,
+        # Q2), the zero-tail ones of PD1-PD4 and of Dn/Mn, and QD's zero middle
+        draws = []
+        real = cli.verify.random_system
+        monkeypatch.setattr(cli.verify, "random_system",
+                            lambda opts: draws.append(opts) or real(opts))
+        assert run(["spectrum", "--preset", ",".join(SPECTRUM_SEED0), "--seed", "0",
+                    "--sizes", "9,7,5", "--n", "3"]) == 0
+        distinct = {cli.verify.hypothesis_options(p, 0, (9, 7, 5), n=3)
+                    for p in SPECTRUM_SEED0}
+        assert len(distinct) == 4
+        assert sorted(draws, key=repr) == sorted(distinct, key=repr)
+
     def test_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(["spectrum", "--preset", "PD3,QD1", "--seed", "5", "--out", str(a)])

@@ -186,7 +186,7 @@ class TestRecurrences:
 
 def membership_roots(preset, n=3):
     """The predicted roots verify_preset matches a row's eigenvalues to."""
-    return verify._membership_target(preset, n)[0]
+    return verify._prediction(preset, n).roots
 
 
 class TestPredictedPolynomials:
@@ -600,6 +600,76 @@ class TestSuite:
     def test_empty_preset_selection_rejected(self):
         with pytest.raises(ValueError, match="empty preset selection"):
             verify.run_suite(0, (9, 7, 5), presets=())
+
+    @pytest.mark.parametrize("n", [0, 1, -1])
+    @pytest.mark.parametrize("check", [
+        lambda n: verify.hypothesis_options("Pn", 0, (4, 3, 2), n=n),
+        lambda n: verify.verify_preset("Dn", 0, (4, 3, 2), n=n),
+        lambda n: verify.predicted_polynomial("Mn", n=n),
+    ], ids=["hypothesis_options", "verify_preset", "predicted_polynomial"])
+    def test_n_block_row_needs_n_of_at_least_two(self, check, n):
+        # n=0 once meant "not given" and gave a 3-block row or an empty product
+        with pytest.raises(ValueError, match=f"n={n}"):
+            check(n)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", True])
+    def test_n_block_row_needs_integer_n(self, n):
+        with pytest.raises(ValueError, match="integer block count"):
+            verify.block_count("Pn", n, (4, 3, 2))
+
+    def test_block_count_rule(self):
+        assert verify.block_count("P1", 7, (6, 2)) == 3
+        assert verify.block_count("Q2") == 3
+        assert verify.block_count("Pn", np.int64(5)) == 5
+        assert verify.block_count("Dn", None, (9, 7, 5, 3)) == 4
+        with pytest.raises(ValueError, match="n=None"):
+            verify.block_count("Mn")
+
+    @pytest.mark.parametrize("n_sweep", [None, 8])
+    def test_rows_follow_the_walk(self, monkeypatch, n_sweep):
+        # run_suite's preset and LDU rows are the walk's rows in its order,
+        # each consuming the system of the walk's options
+        walk = list(verify.suite_rows(0, (9, 7, 5), n_sweep=n_sweep))
+        opts_of, consumed = {}, []
+        real = verify.random_system
+
+        def drawing(opts):
+            s = real(opts)
+            opts_of[id(s)] = opts
+            return s
+        def consuming(real, system_of):
+            return lambda x: consumed.append(opts_of[id(system_of(x))]) or real(x)
+
+        monkeypatch.setattr(verify, "random_system", drawing)
+        monkeypatch.setattr(verify, "assemble", consuming(verify.assemble, lambda s: s))
+        monkeypatch.setattr(verify, "assemble_arrowhead",
+                            consuming(verify.assemble_arrowhead, lambda a: a.system))
+        rows = [r for r in verify.run_suite(0, (9, 7, 5), n_sweep=n_sweep)
+                if r.kind != "routh"]
+        assert [(r.kind, r.name) for r in rows] == [
+            ("ldu", f"n={n}") if preset is None
+            else ("preset", f"{preset}(n={n})" if preset in precond.N_BLOCK_PRESETS
+                  else preset)
+            for preset, n, _ in walk]
+        assert consumed == [opts for _, _, opts in walk]
+        assert len(walk) == (21 if n_sweep is None else 40)
+
+    def test_walk_is_lazy(self, monkeypatch):
+        calls = []
+        real = verify.hypothesis_options
+        monkeypatch.setattr(verify, "hypothesis_options",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        first = next(verify.suite_rows(0, (9, 7, 5), n_sweep=2000))
+        assert first == ("P1", 3, blocks.SystemOptions(seed=0, sizes=(9, 7, 5)))
+        assert len(calls) == 1
+
+    def test_row_label_and_system_agree_without_n(self):
+        # an n-block preset called without n has len(sizes) blocks everywhere
+        _, system, _ = verify.build_preconditioned("Pn", 0, (6, 2))
+        row = verify.verify_preset("Pn", 0, (6, 2))
+        assert system.n == 2 and row.name == "Pn(n=2)" and row.passed
+        _, report = verify.row_spectrum("Pn", 0, (6, 2))
+        assert len(report.membership) == 8
 
     def test_report_csv_shape(self):
         rows = verify.run_suite(7, (4, 3, 2))
