@@ -385,6 +385,7 @@ def build_biot_preconditioners(assembly, params, tau):
 # over-solved: at much tighter tolerances the 16->32 refinement growth of
 # the best-preconditioned cells quantizes below its expected range
 BENCH_TOL = 4e-6
+BENCH_MAXIT = 1500   # GMRES iteration cap; a cell that reaches it prints >maxit
 
 
 def biot_rows(n_values, tau_values):
@@ -398,7 +399,7 @@ def biot_rows(n_values, tau_values):
             yield n, tau, asm, op, build_biot_preconditioners(asm, params, tau)
 
 
-def solve_cell(row, name, tol=BENCH_TOL, maxit=1500):
+def solve_cell(row, name, tol=BENCH_TOL, maxit=BENCH_MAXIT):
     """(count, stats, x) of GMRES with one preset on a ``biot_rows`` row: count
     is the iteration count if GMRES converged within maxit, else None, and a
     breakdown gives (None, None, None)."""
@@ -410,7 +411,7 @@ def solve_cell(row, name, tol=BENCH_TOL, maxit=1500):
     return (stats.iterations if stats.converged else None), stats, x
 
 
-def benchmark(n_values, tau_values, tol=BENCH_TOL, maxit=1500):
+def benchmark(n_values, tau_values, tol=BENCH_TOL, maxit=BENCH_MAXIT):
     """GMRES iteration counts over the (N, tau, preset) grid.
 
     Returns (tables, counts): one IterationTable per tau (rows are mesh

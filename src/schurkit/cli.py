@@ -18,7 +18,6 @@ import sys
 
 from . import biot as biot_mod
 from . import dense, verify
-from . import precond as pc
 from .blocks import SystemOptions, random_system, write_blocks
 
 EXIT_OK = 0
@@ -103,7 +102,7 @@ def build_parser():
     pb.add_argument("--tol", type=float, default=biot_mod.BENCH_TOL,
                     help="GMRES stopping tolerance (preconditioned relative "
                     "residual; default is the calibrated benchmark setting)")
-    pb.add_argument("--maxit", type=int, default=1500)
+    pb.add_argument("--maxit", type=int, default=biot_mod.BENCH_MAXIT)
     pb.add_argument("--format", choices=("csv", "markdown"), default="markdown")
     pb.add_argument("--out", default=None,
                     help="output path prefix (one file per tau)")
@@ -140,41 +139,26 @@ def _emit(lines, out_path):
             fh.write(text)
 
 
-def _resolve_presets(arg, parser):
-    if arg is None:
-        return None
-    names = [s for s in arg.split(",") if s]
-    if not names:
-        parser.error("empty preset list")
-    for name in names:
-        if name not in pc.PRESET_NAMES:
-            parser.error(f"unknown preset {name!r} "
-                         f"(choose from {', '.join(pc.PRESET_NAMES)})")
-    return names
-
-
-def _check_sizes(presets, sizes, parser):
-    if len(sizes) < 3 and any(p not in pc.N_BLOCK_PRESETS for p in presets):
-        parser.error(f"only {', '.join(pc.N_BLOCK_PRESETS)} take two --sizes")
-
-
-def _size_guard(dims):
-    """Report the first (label, unknowns) row over the desk-scale limit."""
-    for label, dim in dims:
-        if dim > dense.DESK_SIZE_LIMIT:
-            print(f"size guard: {label} has {dim} > {dense.DESK_SIZE_LIMIT} unknowns",
-                  file=sys.stderr)
-            return True
+def _size_guard(rows, parser):
+    """Report the first (label, SystemOptions) row over the desk-scale limit.
+    The rows resolve lazily through ``verify``; one it rejects is a usage error."""
+    try:
+        for label, opts in rows:
+            dim = sum(opts.sizes)
+            if dim > dense.DESK_SIZE_LIMIT:
+                print(f"size guard: {label} has {dim} > {dense.DESK_SIZE_LIMIT} unknowns",
+                      file=sys.stderr)
+                return True
+    except ValueError as exc:
+        parser.error(str(exc))
     return False
 
 
 def cmd_verify(args, parser):
-    presets = _resolve_presets(args.preset, parser)
-    if args.n is not None and args.n < 2:
-        parser.error("--n must be at least 2")
-    _check_sizes(presets or verify.DEFAULT_VERIFY_PRESETS, args.sizes, parser)
-    if _size_guard((preset or f"ldu n={n}", sum(opts.sizes)) for preset, n, opts
-                   in verify.suite_rows(args.seed, args.sizes, presets, args.n)):
+    presets = None if args.preset is None else args.preset.split(",")
+    if _size_guard(((preset or f"ldu n={n}", opts) for preset, n, opts
+                    in verify.suite_rows(args.seed, args.sizes, presets, args.n)),
+                   parser):
         return EXIT_GUARD
     rows = verify.run_suite(args.seed, args.sizes, presets=presets,
                             n_sweep=args.n)
@@ -187,13 +171,11 @@ def cmd_verify(args, parser):
 
 
 def cmd_spectrum(args, parser):
-    presets = _resolve_presets(args.preset, parser)
-    if args.n < 2:
+    presets = args.preset.split(",")
+    if args.n < 2:   # verify checks n only for the n-block presets
         parser.error("--n must be at least 2")
-    _check_sizes(presets, args.sizes, parser)
-    dims = [(p, sum(verify.hypothesis_options(p, args.seed, args.sizes, args.n).sizes))
-            for p in presets]   # three-block presets ignore --n
-    if _size_guard(dims):
+    if _size_guard(((p, verify.hypothesis_options(p, args.seed, args.sizes, args.n))
+                    for p in presets), parser):
         return EXIT_GUARD
     lines = ["preset,re,im,root_re,root_im,distance"]
     draw = functools.cache(lambda opts: verify.random_system(opts))   # one per system

@@ -210,7 +210,8 @@ def preset_pattern(name, n=3):
         family, r = _N_BLOCK[name]
         diag = tuple(r ** i for i in range(n))
     elif name not in _PATTERNS:
-        raise UnknownPresetError(f"unknown preconditioner preset {name!r}")
+        raise UnknownPresetError(f"unknown preset {name!r} "
+                                 f"(choose from {', '.join(PRESET_NAMES)})")
     elif name in NESTED_PRESETS and n != 3:
         raise UnknownPresetError(f"{name} is a three-block preset, got n={n}")
     else:

@@ -394,8 +394,9 @@ def suite_rows(seed, sizes, presets=None, n_sweep=None):
     row (preset None), that ``run_suite`` checks, in order and lazily.
 
     presets=None selects DEFAULT_VERIFY_PRESETS; an empty selection is an
-    error.  A preset row has n = 3; an n sweep instead gives every n-block
-    family (Mn included) a row at each n = 2..n_sweep (n_sweep >= 2).
+    error.  A preset row has ``block_count(preset, sizes=sizes)`` blocks: 3,
+    or ``len(sizes)`` for an n-block family.  An n sweep instead gives every
+    n-block family (Mn included) a row at each n = 2..n_sweep (n_sweep >= 2).
     """
     if n_sweep is not None and n_sweep < 2:
         raise ValueError(f"n_sweep must be at least 2, got {n_sweep}")
@@ -404,8 +405,8 @@ def suite_rows(seed, sizes, presets=None, n_sweep=None):
     elif not presets:
         raise ValueError("empty preset selection")
     for preset in presets:
-        for n in (range(2, n_sweep + 1)
-                  if n_sweep and preset in pc.N_BLOCK_PRESETS else (3,)):
+        for n in (range(2, n_sweep + 1) if n_sweep and preset in pc.N_BLOCK_PRESETS
+                  else (block_count(preset, sizes=sizes),)):
             yield preset, n, hypothesis_options(preset, seed, sizes, n=n)
     for n in LDU_RANGE:
         yield None, n, _cycled_options(seed, sizes, n)
@@ -429,7 +430,7 @@ def run_suite(seed, sizes, presets=None, n_sweep=None):
 
 
 # default CLI verification row set: the twelve named three-block/additive
-# presets plus the n-family triangular and diagonal ones at n=3
+# presets plus the n-family triangular and diagonal ones at n=len(sizes)
 DEFAULT_VERIFY_PRESETS = (
     "P1", "P2", "P3", "P4", "PD1", "PD2", "PD3", "PD4",
     "Q1", "Q2", "QD1", "QD2", "Pn", "Dn",

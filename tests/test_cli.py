@@ -84,6 +84,17 @@ class TestVerifyCommand:
             assert f"Dn(n={n})" in text
             assert f"Mn(n={n})" in text
 
+    def test_n_block_rows_have_len_sizes_blocks(self, capsys):
+        # without --n an n-block row has one block per size, as in verify_preset
+        assert run(["verify", "--preset", "Pn,Dn", "--sizes", "6,2"]) == 0
+        rows = [cli.verify.verify_preset(p, 0, (6, 2)) for p in ("Pn", "Dn")]
+        assert [r.name for r in rows] == ["Pn(n=2)", "Dn(n=2)"]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:3] == cli.verify.report_csv_rows(rows)[1:]
+
+    def test_suite_rows_read_the_block_count(self):
+        assert next(cli.verify.suite_rows(0, (6, 2), ("Pn",)))[:2] == ("Pn", 2)
+
     def test_size_guard_before_generation(self, capsys):
         # Pn cycles 300,300 over n blocks: n=7 is the first over the limit
         assert run(["verify", "--preset", "Pn", "--n", "8",
@@ -423,6 +434,9 @@ class TestExitCodes:
         (["biot", "--tau", "1e-3,x"], "bad float list '1e-3,x'"),
         (["verify", "--sizes", "4,x"], "bad size list '4,x'"),
         (["verify", "--sizes", "4"], "need at least two positive sizes"),
+        (["verify", "--sizes", "4,3"], "needs three sizes"),
+        (["verify", "--preset", "BOGUS"], "choose from P1"),
+        (["verify", "--preset", "P1,,P2"], "unknown preset ''"),
         (["export", "--sizes", "2,2", "--seed", "1.5", "--out", "unused"],
          "seed must be a nonnegative integer, got '1.5'"),
     ])
