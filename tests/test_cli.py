@@ -434,11 +434,11 @@ class TestExitCodes:
         (["biot", "--tau", "1e-3,x"], "bad float list '1e-3,x'"),
         (["verify", "--sizes", "4,x"], "bad size list '4,x'"),
         (["verify", "--sizes", "4"], "need at least two positive sizes"),
+        (["export", "--sizes", "2,2", "--seed", "1.5", "--out", "unused"],
+         "seed must be a nonnegative integer, got '1.5'"),
         (["verify", "--sizes", "4,3"], "needs three sizes"),
         (["verify", "--preset", "BOGUS"], "choose from P1"),
         (["verify", "--preset", "P1,,P2"], "unknown preset ''"),
-        (["export", "--sizes", "2,2", "--seed", "1.5", "--out", "unused"],
-         "seed must be a nonnegative integer, got '1.5'"),
     ])
     def test_bad_value_is_named(self, argv, message, tmp_path, capsys):
         assert run(out_under(tmp_path, argv)) == 2
