@@ -106,7 +106,8 @@ def mat_poly_eval(coeffs, t):
 
 
 def eigenvalues(a):
-    """All eigenvalues of a real square matrix, as a sorted list of complex.
+    """All eigenvalues of a real square matrix, as a list of complex sorted
+    by real part, then imaginary part (ties keep LAPACK's order).
 
     LAPACK ``geev`` through ``np.linalg.eigvals``; complex pairs come out
     exactly conjugate.  Raises EigenConvergenceError when the QR
@@ -120,4 +121,4 @@ def eigenvalues(a):
         w = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
-    return sorted((complex(z) for z in w), key=lambda z: (z.real, z.imag))
+    return np.sort(w.astype(complex), kind="stable").tolist()

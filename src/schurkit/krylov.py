@@ -48,10 +48,11 @@ def arnoldi(op, precond, b, maxit):
     valid after later steps.  Step 0 has estimate 1.0, or 0.0 with
     breakdown when M^{-1} b = 0.  Arguments are checked at the first step.
 
-    After k steps the workspace is the k+1 basis vectors plus O(k^2) for
-    the rotated Hessenberg, whatever ``maxit`` is: the least-squares
-    arrays start at 16 columns and double when full, up to ``maxit``.
-    ``solution`` reads the current arrays, which keep every value.
+    After k steps the workspace is the k+1 basis vectors plus, per step,
+    one Givens-rotated column of R, one rotation and one entry of the
+    rotated right-hand side, whatever ``maxit`` is.  A later step changes
+    only the last right-hand-side entry, which an earlier ``solution``
+    does not read, so ``solution`` reads the lists as they grow.
     """
     if maxit < 0:
         raise ValueError(f"maxit must be nonnegative, got {maxit}")
@@ -67,15 +68,18 @@ def arnoldi(op, precond, b, maxit):
     maxit = min(int(maxit), op.dim)
 
     def solution(k):
-        # rows and columns below k are final once step k is taken
+        # the upper triangle R_k, one stored column per step
+        r = np.zeros((k, k))
+        for j in range(k):
+            r[:j + 1, j] = cols[j]
         y = np.zeros(k)
         for i in range(k - 1, -1, -1):
-            s = g[i] - h[i, i + 1:k] @ y[i + 1:k]
-            if h[i, i] == 0.0:
+            s = g[i] - r[i, i + 1:] @ y[i + 1:]
+            if r[i, i] == 0.0:
                 raise GmresBreakdownError(
                     "zero diagonal in the least-squares triangle before convergence"
                 )
-            y[i] = s / h[i, i]
+            y[i] = s / r[i, i]
         x = np.zeros(op.dim)
         for i in range(k):
             x += y[i] * basis[i]
@@ -87,42 +91,29 @@ def arnoldi(op, precond, b, maxit):
     if beta == 0.0:
         return
     basis = [r0 / beta]
-    cap = min(maxit, 16)
-    h = np.zeros((cap + 1, cap))
-    cs = np.zeros(cap)
-    sn = np.zeros(cap)
-    g = np.zeros(cap + 1)
-    g[0] = beta
+    cols, cs, sn, g = [], [], [], [beta]
     for j in range(maxit):
-        if j == cap:   # full: zero-pad to twice the steps, up to maxit
-            grow = min(cap, maxit - cap)
-            h = np.pad(h, ((0, grow), (0, grow)))
-            cs, sn, g = (np.pad(a, (0, grow)) for a in (cs, sn, g))
-            cap += grow
         w = apply(op.matvec(basis[j]))
         if w.shape != (op.dim,):
             raise ValueError(f"operator gave shape {w.shape}, expected ({op.dim},)")
         wnorm0 = float(np.linalg.norm(w))
-        for i in range(j + 1):
-            h[i, j] = float(basis[i] @ w)
-            w -= h[i, j] * basis[i]
+        col = []
+        for v in basis:
+            col.append(float(v @ w))
+            w -= col[-1] * v
         hj1 = float(np.linalg.norm(w))
-        h[j + 1, j] = hj1
         # previously accumulated rotations, then the new one
         for i in range(j):
-            hi = cs[i] * h[i, j] + sn[i] * h[i + 1, j]
-            h[i + 1, j] = -sn[i] * h[i, j] + cs[i] * h[i + 1, j]
-            h[i, j] = hi
-        denom = math.hypot(h[j, j], hj1)
-        if denom == 0.0:
-            cs[j], sn[j] = 1.0, 0.0
-        else:
-            cs[j] = h[j, j] / denom
-            sn[j] = hj1 / denom
-        h[j, j] = cs[j] * h[j, j] + sn[j] * hj1
-        h[j + 1, j] = 0.0
-        g[j + 1] = -sn[j] * g[j]
-        g[j] = cs[j] * g[j]
+            col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                  -sn[i] * col[i] + cs[i] * col[i + 1])
+        denom = math.hypot(col[j], hj1)
+        c, s = (1.0, 0.0) if denom == 0.0 else (col[j] / denom, hj1 / denom)
+        col[j] = c * col[j] + s * hj1
+        cols.append(col)
+        cs.append(c)
+        sn.append(s)
+        g.append(-s * g[j])
+        g[j] = c * g[j]
         happy = hj1 <= 1e-14 * max(wnorm0, 1e-300)
         yield j + 1, abs(g[j + 1]) / beta, happy, partial(solution, j + 1)
         if happy:

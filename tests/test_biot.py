@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +58,12 @@ class TestMesh:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             biot.build_mesh(0)
+
+    def test_fractional_size_rejected(self):
+        with pytest.raises(ValueError, match="n: expected a whole number, got 2.5"):
+            biot.build_mesh(2.5)
+        m = biot.build_mesh(3.0)
+        assert type(m.n) is int and m.num_triangles == 18
 
 
 class TestParameters:
@@ -283,6 +291,14 @@ class TestFourier:
         lhs = -(params.c0 + al ** 2 / lam) + 2 * mu * al ** 2 / (lam * (lam + 2 * mu))
         rhs = -(params.c0 + al ** 2 / (2 * mu + lam))
         assert abs(lhs - rhs) < 1e-12
+        # exactly, in rational arithmetic, over a grid that includes
+        # parameters where the float difference cancels badly
+        for e, nu, alpha, c0 in itertools.product(
+                (1e-3, 1.0, 1e3), (1e-7, 1e-5, 0.3, 0.49999), (1e-3, 1.0, 1e3), (0.0, 1.0)):
+            prm = biot.BiotParameters(E=e, nu=nu, alpha=alpha, c0=c0)
+            lam, mu, al, c = (Fraction(v) for v in (prm.lam, prm.mu, prm.alpha, prm.c0))
+            assert (-(c + al ** 2 / lam) + 2 * mu * al ** 2 / (lam * (lam + 2 * mu))
+                    == -(c + al ** 2 / (2 * mu + lam)))
 
     def test_negated_trailing_approximation_spd(self, asm4, params):
         _, s_p = biot.fourier_schur_approx(asm4, params)
@@ -322,6 +338,13 @@ class TestPreconditioners:
         # every fill test is False under NaN: the factors would be IC(0)
         with pytest.raises(ValueError, match="drop tolerance"):
             biot.build_biot_preconditioners(asm4, params, float("nan"))
+
+    @pytest.mark.parametrize("e,nu", [(1.0, 1e-9), (1.0, 1e-5)])
+    def test_small_poisson_ratio_builds(self, mesh4, e, nu):
+        # the shifted mass coefficient loses digits to cancellation here
+        prm = biot.BiotParameters(E=e, nu=nu)
+        pres = biot.build_biot_preconditioners(biot.assemble_biot(mesh4, prm), prm, 1e-3)
+        assert set(pres.by_name) == set(biot.BENCH_COLUMNS)
 
     def test_factor_fill_monotone_in_tau(self, params):
         from schurkit.sparse import csr_scale, ichol

@@ -183,6 +183,19 @@ class TestEigenvalues:
         assert max((abs(a_ - b_) for a_, b_ in zip(complex_part, conj)),
                    default=0.0) <= 1e-10
 
+    def test_order_of_ties_matches_python_key_sort(self):
+        # repeated conjugate pairs, repeated reals and signed zeros: ties
+        # keep LAPACK's order, as a stable sort on (real, imag) does
+        a = np.zeros((9, 9))
+        a[:2, :2] = a[2:4, 2:4] = [[1.0, -2.0], [2.0, 1.0]]
+        a[4:, 4:] = np.diag([1.0, -0.0, 1.0, 0.0, -0.0])
+        a[4, 6] = 0.5
+        want = sorted((complex(z) for z in np.linalg.eigvals(a)),
+                      key=lambda z: (z.real, z.imag))
+        got = dense.eigenvalues(a)
+        assert all(type(z) is complex for z in got)
+        assert [repr(z) for z in got] == [repr(z) for z in want]
+
     def test_size_guard(self):
         with pytest.raises(ValueError):
             dense.eigenvalues(np.eye(dense.DESK_SIZE_LIMIT + 1))
