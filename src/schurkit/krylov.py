@@ -10,6 +10,7 @@ matvecs; ``gmres`` is a stopping rule over those steps.  Iteration tables
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -17,7 +18,8 @@ import numpy as np
 
 
 class GmresBreakdownError(RuntimeError):
-    """Arnoldi produced a zero vector with the residual still above tol."""
+    """Arnoldi produced a zero vector with the residual still above tol, or
+    a vector whose norm is not finite."""
 
 
 class LinearOperator:
@@ -46,7 +48,9 @@ def arnoldi(op, precond, b, maxit):
     ||M^{-1}(b - A x_k)|| / ||M^{-1} b||, whether the Arnoldi vector
     vanished (no step follows), and a callable forming x_k that stays
     valid after later steps.  Step 0 has estimate 1.0, or 0.0 with
-    breakdown when M^{-1} b = 0.  Arguments are checked at the first step.
+    breakdown when M^{-1} b = 0.  Arguments are checked at the first step;
+    a non-finite ||M^{-1} b|| or Arnoldi vector norm raises
+    GmresBreakdownError naming the step instead of running on in NaNs.
 
     After k steps the workspace is the k+1 basis vectors plus, per step,
     one Givens-rotated column of R, one rotation and one entry of the
@@ -54,11 +58,13 @@ def arnoldi(op, precond, b, maxit):
     only the last right-hand-side entry, which an earlier ``solution``
     does not read, so ``solution`` reads the lists as they grow.
     """
-    if maxit < 0:
-        raise ValueError(f"maxit must be nonnegative, got {maxit}")
+    if not isinstance(maxit, numbers.Integral) or maxit < 0:
+        raise ValueError(f"maxit must be a nonnegative integer, got {maxit!r}")
     b = np.asarray(b, dtype=float)
     if b.shape != (op.dim,):
         raise ValueError(f"rhs length {b.shape} does not match operator dim {op.dim}")
+    if not np.isfinite(b).all():
+        raise ValueError("rhs must be finite")
     if precond is None:   # a copy: the Arnoldi step orthogonalizes w in place
         apply = lambda v: np.array(v, dtype=float)
     elif precond.dim != op.dim:
@@ -87,6 +93,8 @@ def arnoldi(op, precond, b, maxit):
 
     r0 = apply(b)
     beta = float(np.linalg.norm(r0))
+    if not math.isfinite(beta):
+        raise GmresBreakdownError(f"||M^-1 b|| is {beta} at step 0")
     yield 0, float(beta != 0.0), beta == 0.0, partial(solution, 0)
     if beta == 0.0:
         return
@@ -97,6 +105,8 @@ def arnoldi(op, precond, b, maxit):
         if w.shape != (op.dim,):
             raise ValueError(f"operator gave shape {w.shape}, expected ({op.dim},)")
         wnorm0 = float(np.linalg.norm(w))
+        if not math.isfinite(wnorm0):
+            raise GmresBreakdownError(f"Arnoldi vector norm is {wnorm0} at step {j + 1}")
         col = []
         for v in basis:
             col.append(float(v @ w))

@@ -160,8 +160,7 @@ def spmv(a, x):
         raise ValueError(f"vector length {x.shape} does not match cols={a.cols}")
     y = np.zeros(a.rows)
     nonempty = np.diff(a.row_offsets) > 0
-    # CsrMatrix range-checked the columns, so "clip" never clips
-    prod = x.take(a.col_indices, mode="clip")
+    prod = x.take(a.col_indices)
     np.multiply(a.values, prod, out=prod)
     y[nonempty] = np.add.reduceat(prod, a.row_offsets[:-1][nonempty])
     return y
@@ -330,20 +329,16 @@ def _block_step(tri, r0, r1, inv):
     return (r0, r1, tri.values[s:e], tri.col_indices[s:e], ro[r0:r1] - s, inv)
 
 
-def _block_solve(plan, b, width):
+def _block_solve(plan, b):
     """Solve with a triangular factor, one block of k rows at a time.
 
     x starts at zero, so the entries of a block's own columns, its
     diagonal included, add nothing to the row sums of its slice; every
-    row holds its diagonal, so no reduceat segment is empty.  The gather
-    buffer holds width entries, at least the most any block has.
+    row holds its diagonal, so no reduceat segment is empty.
     """
     x = np.zeros(b.size)
-    buf = np.empty(width)
     for r0, r1, vals, cols, starts, inv in plan:
-        # CsrMatrix range-checked the columns, so "clip" never clips; with
-        # it take writes into buf instead of into a copy it would discard
-        prod = x.take(cols, out=buf[:cols.size], mode="clip")
+        prod = x.take(cols)
         np.multiply(vals, prod, out=prod)
         sums = np.add.reduceat(prod, starts)
         np.subtract(b[r0:r1], sums, out=sums)
@@ -362,8 +357,6 @@ class IcFactor:
     # the steps of the forward (L) and backward (L^T) sweeps, see _block_step
     _lower_plan: list = field(init=False, repr=False)
     _upper_plan: list = field(init=False, repr=False)
-    # entries of the widest block step of either sweep: its buffer size
-    _width: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self._upper is None:
@@ -376,8 +369,6 @@ class IcFactor:
             self._lower_plan.append(_block_step(self.lower, r0, r1, inv))
             self._upper_plan.append(_block_step(self._upper, r0, r1, inv.T))
         self._upper_plan.reverse()
-        self._width = max((step[3].size for step in self._lower_plan + self._upper_plan),
-                          default=0)
 
     @property
     def n(self):
@@ -388,7 +379,8 @@ def ichol(a, tau):
     """IC(tau) factorization of a symmetric positive definite CSR matrix.
 
     Symmetry is checked to SYMMETRY_RTOL (relative, max norm) against one
-    transpose and enforced by averaging with it.  On a nonpositive pivot
+    transpose and enforced by averaging with it.  Both work on halves of
+    the entries, which is exact and cannot overflow.  On a nonpositive pivot
     the whole factorization restarts with the diagonal shift doubled
     (floor 1e-3, relative to the diagonal), at most 20 restarts.
     """
@@ -396,11 +388,13 @@ def ichol(a, tau):
         raise ValueError("matrix must be square")
     if not tau >= 0:
         raise ValueError(f"drop tolerance must be >= 0, got {tau}")
-    at = csr_transpose(a)
+    half = csr_scale(a, 0.5)
+    half_t = csr_transpose(half)
     amax = float(np.abs(a.values).max(initial=0.0))
-    dmax = float(np.abs(csr_add(a, csr_scale(at, -1.0)).values).max(initial=0.0))
-    sym = csr_scale(csr_add(a, at), 0.5)
-    del at
+    dmax = 2.0 * float(np.abs(csr_add(half, csr_scale(half_t, -1.0)).values)
+                       .max(initial=0.0))
+    sym = csr_add(half, half_t)
+    del half, half_t
     if dmax > SYMMETRY_RTOL * amax:
         raise NotSymmetricError(
             f"asymmetry {dmax:.3e} exceeds {SYMMETRY_RTOL:.0e} * max|A| = "
@@ -431,7 +425,7 @@ def ic_solve(f, b):
     b = np.asarray(b, dtype=float)
     if b.shape != (f.n,):
         raise ValueError(f"vector length {b.shape} does not match n={f.n}")
-    return _block_solve(f._upper_plan, _block_solve(f._lower_plan, b, f._width), f._width)
+    return _block_solve(f._upper_plan, _block_solve(f._lower_plan, b))
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +463,10 @@ def read_matrix_market(path):
     if not lines:
         raise MatrixMarketError(path, 1, "empty file")
     header = lines[0].split()
-    if len(header) != 5 or header[0] != "%%MatrixMarket" or header[1] != "matrix":
+    # the reference reader (NIST mmio.c) compares the qualifiers lower-cased
+    if len(header) != 5 or header[0] != "%%MatrixMarket" or header[1].lower() != "matrix":
         raise MatrixMarketError(path, 1, "bad header")
-    fmt, fld, sym = header[2:]
+    fmt, fld, sym = (q.lower() for q in header[2:])
     if fmt not in ("coordinate", "array"):
         raise MatrixMarketError(path, 1, f"unsupported format {fmt!r}")
     # a symmetric file stores one triangle; read as general it loses the other

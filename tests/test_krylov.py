@@ -94,10 +94,49 @@ class TestGmres:
             gmres.gmres(op, None, np.ones(3), tol=float("nan"), maxit=5)
         with pytest.raises(ValueError, match="maxit"):
             gmres.gmres(op, None, np.ones(3), tol=1e-8, maxit=-1)
+        with pytest.raises(ValueError, match="maxit"):
+            gmres.gmres(op, None, np.ones(3), tol=1e-8, maxit=2.5)
         # without a preconditioner nothing else checks the matvec's length
         short = gmres.LinearOperator(3, lambda v: v[:2])
         with pytest.raises(ValueError, match="operator gave shape"):
             gmres.gmres(short, None, np.ones(3), tol=1e-8, maxit=5)
+
+    def test_numpy_integer_maxit(self):
+        rng = np.random.default_rng(54)
+        a = rng.uniform(-1.0, 1.0, (30, 30)) + 6 * np.eye(30)
+        op = gmres.LinearOperator(len(a), lambda v: a @ v)
+        _, stats = gmres.gmres(op, None, rng.uniform(-1, 1, 30),
+                               tol=1e-14, maxit=np.int64(2))
+        assert stats.iterations == 2
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_rhs_rejected(self, bad):
+        op = gmres.LinearOperator(3, lambda v: v)
+        with pytest.raises(ValueError, match="rhs must be finite"):
+            gmres.gmres(op, None, np.array([1.0, bad, 1.0]), maxit=5)
+
+    def test_non_finite_step_is_a_breakdown(self):
+        rng = np.random.default_rng(55)
+        a = rng.uniform(-1.0, 1.0, (30, 30)) + 6 * np.eye(30)
+        calls = []
+
+        def matvec(v):
+            calls.append(1)
+            return a @ v if len(calls) < 3 else np.full(30, np.nan)
+        op = gmres.LinearOperator(30, matvec)
+        with pytest.raises(gmres.GmresBreakdownError, match="at step 3"):
+            gmres.gmres(op, None, rng.uniform(-1, 1, 30), tol=1e-14, maxit=30)
+        assert len(calls) == 3
+
+    def test_non_finite_preconditioned_rhs_is_a_breakdown(self):
+        class NanPreconditioner:
+            dim = 3
+
+            def apply(self, v):
+                return np.full(3, np.nan)
+        op = gmres.LinearOperator(3, lambda v: v)
+        with pytest.raises(gmres.GmresBreakdownError, match="at step 0"):
+            gmres.gmres(op, NanPreconditioner(), np.ones(3), maxit=5)
 
 
 class TestArnoldi:

@@ -335,6 +335,22 @@ class TestIchol:
         sym = np.array([[2.0, 1.0 + eps / 2], [1.0 + eps / 2, 2.0]])
         assert np.abs(lo @ lo.T - sym).max() < 1e-12
 
+    def test_entries_near_the_float_maximum(self):
+        # A + A^T overflows here; the average of the halves does not
+        a = sparse.csr_from_triplets(2, 2, [
+            (0, 0, 1e308), (0, 1, 5e307), (1, 0, 5e307), (1, 1, 1e308)])
+        f = sparse.ichol(a, 0.0)
+        lo = f.lower.to_dense()
+        assert f.shift == 0.0
+        assert np.allclose(lo @ lo.T, a.to_dense(), rtol=1e-15, atol=0.0)
+
+    def test_asymmetry_near_the_float_maximum_rejected(self):
+        # A - A^T overflows here; the check compares halves
+        a = sparse.csr_from_triplets(2, 2, [
+            (0, 0, 1e308), (0, 1, 1.5e308), (1, 0, -1.5e308), (1, 1, 1e308)])
+        with pytest.raises(sparse.NotSymmetricError):
+            sparse.ichol(a, 0.0)
+
     # sha256 of row_offsets, col_indices and values of L on the 6x6-grid
     # Laplacian at tau=0.05, recorded while the symmetry check summed
     # A - A^T and A + A^T by triplet assembly
@@ -748,7 +764,10 @@ class TestMatrixMarket:
                 "not a matrix market file\n",
                 "%%MatrixMarket matrix coordinate real symmetric\n"
                 "2 2 2\n1 1 1\n2 1 5\n",
-                "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n")):
+                "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n",
+                # the qualifiers compare case-insensitively, the banner token does not
+                "%%MatrixMarket Matrix Coordinate Real Symmetric\n2 2 1\n2 1 5.0\n",
+                "%%matrixmarket matrix coordinate real general\n2 2 1\n2 1 5.0\n")):
             p = tmp_path / f"bad{k}.mtx"
             p.write_text(text)
             with pytest.raises(sparse.MatrixMarketError) as exc:
@@ -794,6 +813,13 @@ class TestMatrixMarket:
         p.write_text("%%MatrixMarket matrix array real general\n"
                      "2 1\n1.0\n2.0\n\n  \n")
         assert np.array_equal(sparse.read_matrix_market(p), [[1.0], [2.0]])
+
+    def test_qualifiers_are_case_insensitive(self, tmp_path):
+        p = tmp_path / "mixed.mtx"
+        p.write_text("%%MatrixMarket MATRIX Coordinate Real General\n"
+                     "2 2 1\n2 1 5.0\n")
+        a = sparse.read_matrix_market(p)
+        assert np.array_equal(a.to_dense(), [[0.0, 0.0], [5.0, 0.0]])
 
     def test_truncated_entries(self, tmp_path):
         p = tmp_path / "short.mtx"
