@@ -42,16 +42,6 @@ def _parse_sizes(text):
     return sizes
 
 
-def _parse_seed(text):
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
-    return seed
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="schurkit",
@@ -67,7 +57,7 @@ def build_parser():
         "CSV columns: kind,name,seed,residual,min_real_part,"
         "max_membership_distance,status,detail.",
     )
-    pv.add_argument("--seed", type=_parse_seed, default=0)
+    pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--sizes", type=_parse_sizes, default=(4, 3, 2),
                     help="comma-separated block sizes (default 4,3,2)")
     pv.add_argument("--n", type=int, default=None,
@@ -83,7 +73,7 @@ def build_parser():
     )
     ps.add_argument("--preset", required=True,
                     help="comma-separated preset names")
-    ps.add_argument("--seed", type=_parse_seed, default=0)
+    ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--sizes", type=_parse_sizes, default=(4, 3, 2))
     ps.add_argument("--n", type=int, default=3,
                     help="block count for the n-block families")
@@ -97,8 +87,9 @@ def build_parser():
     )
     pb.add_argument("--N", type=_parse_list(int, "integer"), default=(16,),
                     help="comma-separated cells-per-side values")
-    pb.add_argument("--tau", type=_parse_list(float, "float"), default=(1e-3,),
-                    help="comma-separated IC drop tolerances")
+    # + 0.0 folds -0.0 into 0: a tau's :g text names its table and file
+    pb.add_argument("--tau", type=_parse_list(lambda s: float(s) + 0.0, "float"),
+                    default=(1e-3,), help="comma-separated IC drop tolerances")
     pb.add_argument("--tol", type=float, default=biot_mod.BENCH_TOL,
                     help="GMRES stopping tolerance (preconditioned relative "
                     "residual; default is the calibrated benchmark setting)")
@@ -120,7 +111,7 @@ def build_parser():
     group.add_argument("--sizes", type=_parse_sizes, default=None,
                        help="export a seeded random block-tridiagonal system")
     # these three shape the random system and are rejected with --biot-N
-    pe.add_argument("--seed", type=_parse_seed, default=None, help="default 0")
+    pe.add_argument("--seed", type=int, default=None, help="default 0")
     pe.add_argument("--zero-tail", action="store_true")
     pe.add_argument("--spd", action="store_true")
     # each handler reports usage errors through its own subparser
@@ -193,8 +184,7 @@ def cmd_biot(args, parser):
         parser.error("mesh sizes must be positive")
     if not all(t >= 0 for t in args.tau):
         parser.error("drop tolerances must be nonnegative")
-    # a tau's :g text names its table and file; abs folds -0.0 into 0
-    taus = [f"{abs(t):g}" for t in args.tau]
+    taus = [f"{t:g}" for t in args.tau]
     for flag, values in (("--N", args.N), ("--tau", taus)):
         if len(set(values)) < len(values):
             parser.error(f"{flag} values must be distinct as printed")
@@ -224,22 +214,20 @@ def cmd_biot(args, parser):
 
 
 def cmd_export(args, parser):
-    if args.biot_N is not None:
-        if args.seed is not None or args.zero_tail or args.spd:
-            parser.error("--seed, --zero-tail and --spd apply to --sizes only")
-        if args.biot_N < 1:
-            parser.error("mesh size must be positive")
-        mesh = biot_mod.build_mesh(args.biot_N)
-        asm = biot_mod.assemble_biot(mesh, biot_mod.BiotParameters())
+    biot = args.biot_N is not None
+    if biot and (args.seed is not None or args.zero_tail or args.spd):
+        parser.error("--seed, --zero-tail and --spd apply to --sizes only")
+    try:   # the library names a bad mesh size or seed before any work
+        source = (biot_mod.build_mesh(args.biot_N) if biot
+                  else SystemOptions(seed=args.seed or 0, sizes=args.sizes,
+                                     zero_tail=args.zero_tail, symmetric_spd=args.spd))
+    except ValueError as exc:
+        parser.error(str(exc))
+    if biot:
+        asm = biot_mod.assemble_biot(source, biot_mod.BiotParameters())
         manifest = biot_mod.export_blocks(asm, args.out)
     else:
-        try:
-            opts = SystemOptions(seed=args.seed or 0, sizes=args.sizes,
-                                 zero_tail=args.zero_tail,
-                                 symmetric_spd=args.spd)
-        except ValueError as exc:
-            parser.error(str(exc))
-        system = random_system(opts)
+        system = random_system(source)
         manifest = write_blocks(args.out, system.diag, system.upper, system.lower)
     print(manifest)
     return EXIT_OK

@@ -40,6 +40,21 @@ class SolveStats:
     converged: bool = False
 
 
+def _norm(v, what, step):
+    """||v|| with ``np.linalg.norm``'s bits, which for a 1-D float vector is
+    sqrt(v @ v); only when that overflows on a finite v is it rescaled by
+    max |v|.  GmresBreakdownError naming ``what`` and the step if v is not
+    finite."""
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(v))
+        if nrm == math.inf and np.isfinite(v).all():
+            scale = float(np.abs(v).max())
+            nrm = scale * float(np.linalg.norm(v / scale))
+    if not math.isfinite(nrm):
+        raise GmresBreakdownError(f"{what} is {nrm} at step {step}")
+    return nrm
+
+
 def arnoldi(op, precond, b, maxit):
     """Yield the steps of left-preconditioned GMRES from a zero initial guess.
 
@@ -92,9 +107,7 @@ def arnoldi(op, precond, b, maxit):
         return x
 
     r0 = apply(b)
-    beta = float(np.linalg.norm(r0))
-    if not math.isfinite(beta):
-        raise GmresBreakdownError(f"||M^-1 b|| is {beta} at step 0")
+    beta = _norm(r0, "||M^-1 b||", 0)
     yield 0, float(beta != 0.0), beta == 0.0, partial(solution, 0)
     if beta == 0.0:
         return
@@ -104,14 +117,12 @@ def arnoldi(op, precond, b, maxit):
         w = apply(op.matvec(basis[j]))
         if w.shape != (op.dim,):
             raise ValueError(f"operator gave shape {w.shape}, expected ({op.dim},)")
-        wnorm0 = float(np.linalg.norm(w))
-        if not math.isfinite(wnorm0):
-            raise GmresBreakdownError(f"Arnoldi vector norm is {wnorm0} at step {j + 1}")
+        wnorm0 = _norm(w, "Arnoldi vector norm", j + 1)
         col = []
         for v in basis:
             col.append(float(v @ w))
             w -= col[-1] * v
-        hj1 = float(np.linalg.norm(w))
+        hj1 = _norm(w, "orthogonalised Arnoldi vector norm", j + 1)
         # previously accumulated rotations, then the new one
         for i in range(j):
             col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],

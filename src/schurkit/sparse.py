@@ -46,12 +46,22 @@ class MatrixMarketError(ValueError):
         self.line = line
 
 
+def _index_array(name, a):
+    """``a`` as int64, without a copy for int64 input.  A float array (a list
+    of floats comes in as one) must hold whole numbers, else ValueError
+    naming ``name``; astype alone would truncate 1.9 to 1."""
+    a = np.asarray(a)
+    if a.dtype.kind == "f" and not (np.isfinite(a).all() and np.array_equal(a, np.floor(a))):
+        raise ValueError(f"{name} must be whole numbers")
+    return a.astype(np.int64, copy=False)
+
+
 class CsrMatrix:
     """Compressed sparse row matrix with float64 values.
 
-    Invariants enforced on construction: row_offsets has length rows+1 and
-    is monotone, column indices are strictly increasing within each row,
-    and all values are finite.
+    Invariants enforced on construction: both index arrays hold whole
+    numbers, row_offsets has length rows+1 and is monotone, column indices
+    are strictly increasing within each row, and all values are finite.
     """
 
     __slots__ = ("rows", "cols", "row_offsets", "col_indices", "values")
@@ -59,8 +69,8 @@ class CsrMatrix:
     def __init__(self, rows, cols, row_offsets, col_indices, values):
         self.rows = int(rows)
         self.cols = int(cols)
-        self.row_offsets = np.asarray(row_offsets, dtype=np.int64)
-        self.col_indices = np.asarray(col_indices, dtype=np.int64)
+        self.row_offsets = _index_array("row_offsets", row_offsets)
+        self.col_indices = _index_array("col_indices", col_indices)
         self.values = np.asarray(values, dtype=float)
         ro = self.row_offsets
         if ro.shape != (self.rows + 1,):
@@ -124,11 +134,7 @@ def csr_from_triplets(rows, cols, triplets):
         t = list(triplets)
         arr = np.asarray(t, dtype=float) if t else np.empty((0, 3))
         ii, jj, vv = arr[:, 0], arr[:, 1], arr[:, 2]
-    ii, jj = np.asarray(ii), np.asarray(jj)
-    # float indices (a list of triples comes in as floats) must be whole
-    if any(x.dtype.kind == "f" and not np.array_equal(x, np.floor(x)) for x in (ii, jj)):
-        raise ValueError("triplet indices must be whole numbers")
-    ii, jj = ii.astype(np.int64, copy=False), jj.astype(np.int64, copy=False)
+    ii, jj = (_index_array("triplet indices", x) for x in (ii, jj))
     vv = np.asarray(vv, dtype=float)
     if ii.size and (ii.min() < 0 or ii.max() >= rows or jj.min() < 0 or jj.max() >= cols):
         raise IndexError("triplet index out of range")
@@ -487,6 +493,8 @@ def read_matrix_market(path):
         raise MatrixMarketError(path, ln + 1, "bad size line") from None
     if min(counts) < 0:
         raise MatrixMarketError(path, ln + 1, "negative count in size line")
+    # integer values are read as NIST mmio.c reads them, with %d
+    cast = int if fld == "integer" else float
     if fmt == "coordinate":
         rows, cols, nnz = counts
         entries = lines[ln + 1:]
@@ -503,8 +511,8 @@ def read_matrix_market(path):
             try:
                 ii[k] = int(parts[0]) - 1
                 jj[k] = int(parts[1]) - 1
-                vv[k] = float(parts[2])
-            except ValueError:
+                vv[k] = cast(parts[2])
+            except (ValueError, OverflowError):
                 raise MatrixMarketError(path, ln + 2 + k, "bad entry") from None
             if not (0 <= ii[k] < rows and 0 <= jj[k] < cols):
                 raise MatrixMarketError(path, ln + 2 + k, "entry index out of range")
@@ -520,8 +528,8 @@ def read_matrix_market(path):
     for j in range(cols):
         for i in range(rows):
             try:
-                m[i, j] = float(vals[k])
-            except ValueError:
+                m[i, j] = cast(vals[k])
+            except (ValueError, OverflowError):
                 raise MatrixMarketError(path, ln + 2 + k, "bad value") from None
             k += 1
     _check_no_extra(path, lines, ln + 1 + rows * cols)

@@ -316,6 +316,12 @@ class TestBiotCommand:
             "8x8,28,28,25,36,13,23,23,19\n"
             "16x16,41,42,37,61,19,38,38,33\n")
 
+    def test_negative_zero_tau_names_its_table_zero(self, tmp_path):
+        assert run(["biot", "--N", "4", "--tau=-0.0", "--format", "csv",
+                    "--out", str(tmp_path / "b")]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["b_tau0.csv"]
+        assert "# ic drop tolerance tau=0\n" in (tmp_path / "b_tau0.csv").read_text()
+
     def test_missing_out_directory_fails_before_the_sweep(self, tmp_path,
                                                           monkeypatch, capsys):
         def sweep(*args, **kwargs):
@@ -435,10 +441,16 @@ class TestExitCodes:
         (["verify", "--sizes", "4,x"], "bad size list '4,x'"),
         (["verify", "--sizes", "4"], "need at least two positive sizes"),
         (["export", "--sizes", "2,2", "--seed", "1.5", "--out", "unused"],
-         "seed must be a nonnegative integer, got '1.5'"),
+         "invalid int value: '1.5'"),
         (["verify", "--sizes", "4,3"], "needs three sizes"),
         (["verify", "--preset", "BOGUS"], "choose from P1"),
         (["verify", "--preset", "P1,,P2"], "unknown preset ''"),
+        # the library's own messages: SystemOptions and build_mesh
+        (["verify", "--seed", "-1"], "seed must be nonnegative, got -1"),
+        (["spectrum", "--preset", "P1", "--seed", "-1"], "seed must be nonnegative, got -1"),
+        (["export", "--sizes", "4,3,2", "--seed", "-1", "--out", "d"],
+         "seed must be nonnegative, got -1"),
+        (["export", "--biot-N", "0", "--out", "d"], "need at least one cell per side"),
     ])
     def test_bad_value_is_named(self, argv, message, tmp_path, capsys):
         assert run(out_under(tmp_path, argv)) == 2

@@ -138,6 +138,15 @@ class TestGmres:
         with pytest.raises(gmres.GmresBreakdownError, match="at step 0"):
             gmres.gmres(op, NanPreconditioner(), np.ones(3), maxit=5)
 
+    # entries above about 1.3e154 overflow the plain sum of squares
+    @pytest.mark.parametrize("scale,b", [(1.0, [1e200, 1e200]), (1e200, [1.0, 2.0])],
+                             ids=["rhs", "arnoldi_vector"])
+    def test_huge_finite_entries(self, scale, b):
+        op = gmres.LinearOperator(2, lambda v: scale * v)
+        x, stats = gmres.gmres(op, None, np.array(b))
+        assert stats.converged and stats.iterations == 1
+        np.testing.assert_allclose(x, np.array(b) / scale, rtol=1e-14)
+
 
 class TestArnoldi:
     """The step generator that ``gmres`` is a stopping rule over."""

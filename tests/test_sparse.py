@@ -93,6 +93,21 @@ class TestCsrInvariants:
         a = sparse.CsrMatrix(3, 3, [0, 2, 2, 4], [1, 2, 0, 1], np.ones(4))
         assert a.nnz == 4
 
+    # a float index array was cast with truncation, storing column 1.9 as 1
+    @pytest.mark.parametrize("offsets,cols,name", [
+        ([0, 0.5, 1], [1], "row_offsets"),
+        ([0, 1.0], [1.9], "col_indices"),
+        ([0, 1.0], [np.nan], "col_indices"),
+    ], ids=["fractional_offsets", "fractional_columns", "nan_column"])
+    def test_fractional_index_rejected(self, offsets, cols, name):
+        with pytest.raises(ValueError, match=f"{name} must be whole numbers"):
+            sparse.CsrMatrix(len(offsets) - 1, 2, offsets, cols, [1.0])
+
+    def test_whole_float_indices_accepted(self):
+        a = sparse.CsrMatrix(1, 2, [0, 1.0], [1.0], [3.0])
+        assert a.row_offsets.dtype == a.col_indices.dtype == np.int64
+        assert np.array_equal(a.to_dense(), [[0.0, 3.0]])
+
 
 class TestTriplets:
     def test_duplicates_summed(self):
@@ -820,6 +835,23 @@ class TestMatrixMarket:
                      "2 2 1\n2 1 5.0\n")
         a = sparse.read_matrix_market(p)
         assert np.array_equal(a.to_dense(), [[0.0, 0.0], [5.0, 0.0]])
+
+    @pytest.mark.parametrize("text,line,message", [
+        ("%%MatrixMarket matrix coordinate integer general\n"
+         "2 2 2\n1 1 3\n2 1 1.5\n", 4, "bad entry"),
+        ("%%MatrixMarket matrix array integer general\n"
+         "2 1\n3\n1.5\n", 4, "bad value")], ids=["coordinate", "array"])
+    def test_integer_field_rejects_fractions(self, tmp_path, text, line, message):
+        p = tmp_path / "int.mtx"
+        p.write_text(text)
+        with pytest.raises(sparse.MatrixMarketError, match=message) as exc:
+            sparse.read_matrix_market(p)
+        assert exc.value.line == line
+        # the same whole values read back
+        p.write_text(text.replace("1.5", "-2"))
+        got = sparse.read_matrix_market(p)
+        dense = got if isinstance(got, np.ndarray) else got.to_dense()
+        assert dense[0, 0] == 3.0 and dense[1, 0] == -2.0
 
     def test_truncated_entries(self, tmp_path):
         p = tmp_path / "short.mtx"
