@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import precond as pc
-from .blocks import _whole, write_blocks
+from .blocks import write_blocks
 from .krylov import GmresBreakdownError, IterationTable, LinearOperator, gmres
-from .sparse import (CsrMatrix, csr_add, csr_from_triplets, csr_scale,
+from .sparse import (CsrMatrix, _whole, csr_add, csr_from_triplets, csr_scale,
                      csr_transpose, ic_solve, ichol, spmv, write_matrix_market)
 
 #: benchmark table column order: diagonal family first, then triangular

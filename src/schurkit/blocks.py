@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dense
-from .sparse import read_matrix_market, write_matrix_market, CsrMatrix
+from .sparse import CsrMatrix, _whole, read_matrix_market, write_matrix_market
 
 
 class GenerationError(RuntimeError):
@@ -195,17 +195,6 @@ class ArrowheadSystem:
     def perm(self):
         m1, m2, m3 = self.system.sizes
         return np.r_[0:m1, m1 + m2:m1 + m2 + m3, m1:m1 + m2]
-
-
-def _whole(name, v):
-    """``v`` as an int; ValueError naming the field unless it is a whole number."""
-    try:
-        i = int(v)
-    except (TypeError, ValueError, OverflowError):
-        i = None
-    if i is None or i != v:
-        raise ValueError(f"{name}: expected a whole number, got {v!r}")
-    return i
 
 
 @dataclass(frozen=True)

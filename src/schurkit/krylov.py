@@ -26,6 +26,8 @@ class LinearOperator:
     """Matrix-free square operator: a dimension plus a matvec callable."""
 
     def __init__(self, dim, matvec):
+        if not isinstance(dim, numbers.Integral) or dim < 0:
+            raise ValueError(f"dim must be a nonnegative integer, got {dim!r}")
         self.dim = int(dim)
         self._matvec = matvec
 

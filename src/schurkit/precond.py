@@ -21,6 +21,7 @@ import numpy as np
 from . import dense
 from .blocks import (ArrowheadSystem, BlockTridiagonalSystem, SingularSchurError,
                      schur_steps)
+from .sparse import _whole
 
 
 class SingularLeadingBlockError(ValueError):
@@ -86,7 +87,7 @@ class Preconditioner:
     """Base class: block solves and their signs delta_i over a block layout."""
 
     def __init__(self, sizes, solves, diag_signs):
-        self.sizes = tuple(int(s) for s in sizes)
+        self.sizes = tuple(_whole("sizes", s) for s in sizes)
         self.offsets = np.concatenate(([0], np.cumsum(self.sizes)))
         self.dim = int(self.offsets[-1])
         n = len(self.sizes)
@@ -98,6 +99,8 @@ class Preconditioner:
                 raise MissingSolverError(i)
         if len(diag_signs) != n:
             raise ValueError("one sign per diagonal block required")
+        if any(s not in (1, -1) for s in diag_signs):
+            raise ValueError(f"diagonal signs must be 1 or -1, got {tuple(diag_signs)}")
         self.solves = tuple(solves)
         self.diag_signs = tuple(int(s) for s in diag_signs)
 
@@ -235,8 +238,14 @@ def make_preconditioner(name, system=None, *, sizes=None, solves=None,
     Exact mode: pass the system; solvers come from the LAPACK inverses of its
     nested Schur chain (nested presets) or additive Schur complement (Q
     presets).  Inexact mode: pass sizes plus per-block solve callables
-    (and subdiagonal matvecs for triangular families).
+    (and subdiagonal matvecs for triangular families).  A call uses one
+    mode: a system given with any of the others is a ValueError.
     """
+    mixed = [k for k, v in (("sizes", sizes), ("solves", solves),
+                            ("sub_matvecs", sub_matvecs)) if v is not None]
+    if system is not None and mixed:
+        raise ValueError(f"give a system or sizes/solves/sub_matvecs, not both: "
+                         f"got a system and {', '.join(mixed)}")
     if isinstance(system, BlockTridiagonalSystem):
         n = system.n
     elif isinstance(system, ArrowheadSystem):

@@ -21,6 +21,7 @@ as with the linked-list walk.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,12 +47,23 @@ class MatrixMarketError(ValueError):
         self.line = line
 
 
+def _whole(name, v):
+    """``v`` as an int; ValueError naming the field unless it is a whole number."""
+    try:
+        if int(v) == v:
+            return int(v)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name}: expected a whole number, got {v!r}")
+
+
 def _index_array(name, a):
-    """``a`` as int64, without a copy for int64 input.  A float array (a list
-    of floats comes in as one) must hold whole numbers, else ValueError
-    naming ``name``; astype alone would truncate 1.9 to 1."""
+    """``a`` as int64, without a copy for int64 input.  An integer array, or
+    a float array (as a list of floats or an empty list comes in) of whole
+    numbers, else ValueError naming ``name``: astype would cast 1.9, "1", True."""
     a = np.asarray(a)
-    if a.dtype.kind == "f" and not (np.isfinite(a).all() and np.array_equal(a, np.floor(a))):
+    if not (a.dtype.kind in "iu" or a.dtype.kind == "f" and np.isfinite(a).all()
+            and np.array_equal(a, np.floor(a))):
         raise ValueError(f"{name} must be whole numbers")
     return a.astype(np.int64, copy=False)
 
@@ -67,8 +79,8 @@ class CsrMatrix:
     __slots__ = ("rows", "cols", "row_offsets", "col_indices", "values")
 
     def __init__(self, rows, cols, row_offsets, col_indices, values):
-        self.rows = int(rows)
-        self.cols = int(cols)
+        self.rows = _whole("rows", rows)
+        self.cols = _whole("cols", cols)
         self.row_offsets = _index_array("row_offsets", row_offsets)
         self.col_indices = _index_array("col_indices", col_indices)
         self.values = np.asarray(values, dtype=float)
@@ -125,8 +137,8 @@ def csr_from_triplets(rows, cols, triplets):
     are dropped.  Raises ValueError for indices that are not whole numbers
     and IndexError for out-of-range ones.
     """
-    rows = int(rows)
-    cols = int(cols)
+    rows = _whole("rows", rows)
+    cols = _whole("cols", cols)
     if (isinstance(triplets, tuple) and len(triplets) == 3
             and all(isinstance(c, np.ndarray) for c in triplets)):
         ii, jj, vv = triplets
@@ -441,29 +453,31 @@ def ic_solve(f, b):
 def write_matrix_market(path, mat):
     """Write a CsrMatrix (coordinate format) or dense array (array format).
 
-    Values are printed with 17 significant digits so that reading the file
-    back reproduces the stored float64 values exactly.
+    Coordinate entries are ``i j value`` lines, 1-based, in row order; array
+    values are one per line, column-major.  Values are printed with 17
+    significant digits so that reading the file back reproduces the stored
+    float64 values exactly.
     """
+    if isinstance(mat, CsrMatrix):
+        # float columns: every index is below 2**53, and %d prints it whole
+        table = np.column_stack((mat._row_index() + 1, mat.col_indices + 1, mat.values))
+        kind, size, fmt = "coordinate", (mat.rows, mat.cols, mat.nnz), "%d %d %.17g"
+    else:
+        m = np.asarray(mat, dtype=float)
+        if m.ndim != 2:
+            raise ValueError("expected a 2-D array")
+        kind, size, fmt, table = "array", m.shape, "%.17g", m.ravel(order="F")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        if isinstance(mat, CsrMatrix):
-            fh.write("%%MatrixMarket matrix coordinate real general\n")
-            fh.write(f"{mat.rows} {mat.cols} {mat.nnz}\n")
-            ridx = mat._row_index()
-            for i, j, v in zip(ridx, mat.col_indices, mat.values):
-                fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
-        else:
-            m = np.asarray(mat, dtype=float)
-            if m.ndim != 2:
-                raise ValueError("expected a 2-D array")
-            fh.write("%%MatrixMarket matrix array real general\n")
-            fh.write(f"{m.shape[0]} {m.shape[1]}\n")
-            for j in range(m.shape[1]):
-                for i in range(m.shape[0]):
-                    fh.write(f"{m[i, j]:.17g}\n")
+        fh.write(f"%%MatrixMarket matrix {kind} real general\n{' '.join(map(str, size))}\n")
+        np.savetxt(fh, table, fmt=fmt)
 
 
 def read_matrix_market(path):
-    """Read a real or integer general Matrix Market file: CsrMatrix or ndarray."""
+    """Read a real or integer general Matrix Market file: CsrMatrix or ndarray.
+
+    One loop reads the entries of both formats, one line each: ``i j value``
+    (1-based) for ``coordinate``, ``value`` (column-major) for ``array``.
+    """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.readlines()
     if not lines:
@@ -484,7 +498,8 @@ def read_matrix_market(path):
     if ln >= len(lines):
         raise MatrixMarketError(path, ln + 1, "missing size line")
     size = lines[ln].split()
-    want = "rows cols nnz" if fmt == "coordinate" else "rows cols"
+    coord = fmt == "coordinate"
+    want = "rows cols nnz" if coord else "rows cols"
     if len(size) != len(want.split()):
         raise MatrixMarketError(path, ln + 1, f"size line needs {want}")
     try:
@@ -493,51 +508,34 @@ def read_matrix_market(path):
         raise MatrixMarketError(path, ln + 1, "bad size line") from None
     if min(counts) < 0:
         raise MatrixMarketError(path, ln + 1, "negative count in size line")
+    rows, cols = counts[:2]
+    count, width, what = (counts[2], 3, "entries") if coord else (rows * cols, 1, "values")
+    bad = "bad entry" if coord else "bad value"
     # integer values are read as NIST mmio.c reads them, with %d
     cast = int if fld == "integer" else float
-    if fmt == "coordinate":
-        rows, cols, nnz = counts
-        entries = lines[ln + 1:]
-        if len(entries) < nnz:
-            raise MatrixMarketError(path, len(lines) + 1,
-                                    f"expected {nnz} entries, found {len(entries)}")
-        ii = np.empty(nnz, dtype=np.int64)
-        jj = np.empty(nnz, dtype=np.int64)
-        vv = np.empty(nnz)
-        for k in range(nnz):
-            parts = entries[k].split()
-            if len(parts) != 3:
-                raise MatrixMarketError(path, ln + 2 + k, "entry needs i j value")
-            try:
-                ii[k] = int(parts[0]) - 1
-                jj[k] = int(parts[1]) - 1
-                vv[k] = cast(parts[2])
-            except (ValueError, OverflowError):
-                raise MatrixMarketError(path, ln + 2 + k, "bad entry") from None
-            if not (0 <= ii[k] < rows and 0 <= jj[k] < cols):
-                raise MatrixMarketError(path, ln + 2 + k, "entry index out of range")
-        _check_no_extra(path, lines, ln + 1 + nnz)
-        return csr_from_triplets(rows, cols, (ii, jj, vv))
-    rows, cols = counts
-    vals = lines[ln + 1:]
-    if len(vals) < rows * cols:
+    first = ln + 1   # 0-based index of the first entry line
+    if len(lines) - first < count:
         raise MatrixMarketError(path, len(lines) + 1,
-                                f"expected {rows * cols} values, found {len(vals)}")
-    m = np.empty((rows, cols))
-    k = 0
-    for j in range(cols):
-        for i in range(rows):
-            try:
-                m[i, j] = cast(vals[k])
-            except (ValueError, OverflowError):
-                raise MatrixMarketError(path, ln + 2 + k, "bad value") from None
-            k += 1
-    _check_no_extra(path, lines, ln + 1 + rows * cols)
-    return m
-
-
-def _check_no_extra(path, lines, start):
-    """Reject a non-blank line past the declared entries (0-based ``start``)."""
-    for k in range(start, len(lines)):
+                                f"expected {count} {what}, found {len(lines) - first}")
+    ij = np.empty((count, width - 1), dtype=np.int64)   # 1-based, as in the file
+    vals = np.empty(count)
+    ranges = (range(1, rows + 1), range(1, cols + 1))
+    for k in range(count):
+        parts = lines[first + k].split()
+        if len(parts) != width:
+            raise MatrixMarketError(path, first + k + 1,
+                                    "entry needs i j value" if coord else bad)
+        try:   # an index past int64 overflows in ij: a bad entry
+            ij[k] = idx = [*map(int, parts[:-1])]
+            vals[k] = cast(parts[-1])
+        except (ValueError, OverflowError):
+            raise MatrixMarketError(path, first + k + 1, bad) from None
+        if not all(map(operator.contains, ranges, idx)):
+            raise MatrixMarketError(path, first + k + 1, "entry index out of range")
+    for k in range(first + count, len(lines)):
         if lines[k].strip():
             raise MatrixMarketError(path, k + 1, "entry past the declared count")
+    if coord:
+        return csr_from_triplets(rows, cols, (ij[:, 0] - 1, ij[:, 1] - 1, vals))
+    # copied to the row-major layout the callers' BLAS calls have always seen
+    return vals.reshape(cols, rows).T.copy()

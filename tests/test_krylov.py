@@ -101,6 +101,13 @@ class TestGmres:
         with pytest.raises(ValueError, match="operator gave shape"):
             gmres.gmres(short, None, np.ones(3), tol=1e-8, maxit=5)
 
+    # int() truncated it: LinearOperator(3.7, f).dim was 3
+    @pytest.mark.parametrize("dim", [3.7, 3.0, -1, "3"])
+    def test_dim_must_be_a_nonnegative_integer(self, dim):
+        with pytest.raises(ValueError, match="dim must be a nonnegative integer"):
+            gmres.LinearOperator(dim, lambda v: v)
+        assert gmres.LinearOperator(np.int64(3), lambda v: v).dim == 3
+
     def test_numpy_integer_maxit(self):
         rng = np.random.default_rng(54)
         a = rng.uniform(-1.0, 1.0, (30, 30)) + 6 * np.eye(30)

@@ -195,6 +195,35 @@ class TestMakePreconditioner:
                                         sub_matvecs=couplings)
         assert not isinstance(exc.value, precond.MissingSolverError)
 
+    # int() truncated both: sizes (1.5,) became (1,), signs (1.9, -1.2) (1, -1)
+    def test_fractional_sizes_rejected(self):
+        with pytest.raises(ValueError, match="^sizes: expected a whole number, got 1.5"):
+            precond.make_preconditioner("Dn", sizes=(1.5,), solves=[lambda v: v])
+        p = precond.make_preconditioner("Dn", sizes=(np.int64(2), 1.0),
+                                        solves=[lambda v: v] * 2)
+        assert p.sizes == (2, 1) and p.dim == 3
+
+    @pytest.mark.parametrize("signs", [(1.9, -1.2), (1, 0), (2, -1), (1, np.nan)],
+                             ids=["fractional", "zero", "two", "nan"])
+    def test_diagonal_signs_must_be_plus_or_minus_one(self, signs):
+        with pytest.raises(ValueError, match="diagonal signs must be 1 or -1"):
+            precond.BlockDiagonalPreconditioner((2, 1), [lambda v: v] * 2, signs)
+        p = precond.BlockDiagonalPreconditioner((2, 1), [lambda v: v] * 2,
+                                                (np.int64(1), -1.0))
+        assert p.diag_signs == (1, -1)
+
+    # the block parts used to be dropped in favour of system.sizes
+    @pytest.mark.parametrize("name,arrow,kwargs,named", [
+        ("P1", False, {"sizes": (1, 1, 1), "solves": [None]}, "sizes, solves"),
+        ("PD3", False, {"sub_matvecs": ()}, "sub_matvecs"),
+        ("QD1", True, {"solves": [lambda v: v] * 2}, "solves"),
+    ], ids=["nested", "nested_couplings", "additive"])
+    def test_system_with_block_parts_rejected(self, name, arrow, kwargs, named):
+        s = blocks.random_system(blocks.SystemOptions(seed=1, sizes=(3, 2, 2)))
+        with pytest.raises(ValueError, match=f"not both: got a system and {named}$"):
+            precond.make_preconditioner(name, blocks.ArrowheadSystem(s) if arrow else s,
+                                        **kwargs)
+
     @pytest.mark.parametrize("name", ["Dn", "Mn", "Pn", "P1", "PD3"])
     def test_nested_preset_rejects_arrowhead(self, name):
         s = blocks.random_system(blocks.SystemOptions(seed=1, sizes=(3, 2, 2)))

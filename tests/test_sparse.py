@@ -93,12 +93,18 @@ class TestCsrInvariants:
         a = sparse.CsrMatrix(3, 3, [0, 2, 2, 4], [1, 2, 0, 1], np.ones(4))
         assert a.nnz == 4
 
-    # a float index array was cast with truncation, storing column 1.9 as 1
+    # a float index array was cast with truncation, storing column 1.9 as 1;
+    # strings were parsed and booleans stored as 0/1
     @pytest.mark.parametrize("offsets,cols,name", [
         ([0, 0.5, 1], [1], "row_offsets"),
         ([0, 1.0], [1.9], "col_indices"),
         ([0, 1.0], [np.nan], "col_indices"),
-    ], ids=["fractional_offsets", "fractional_columns", "nan_column"])
+        (["0", "1"], [1], "row_offsets"),
+        ([0, 1], ["1"], "col_indices"),
+        ([0, 1], [True], "col_indices"),
+        ([0, 1], np.array([1], dtype=object), "col_indices"),
+    ], ids=["fractional_offsets", "fractional_columns", "nan_column", "string_offsets",
+            "string_columns", "bool_columns", "object_columns"])
     def test_fractional_index_rejected(self, offsets, cols, name):
         with pytest.raises(ValueError, match=f"{name} must be whole numbers"):
             sparse.CsrMatrix(len(offsets) - 1, 2, offsets, cols, [1.0])
@@ -107,6 +113,15 @@ class TestCsrInvariants:
         a = sparse.CsrMatrix(1, 2, [0, 1.0], [1.0], [3.0])
         assert a.row_offsets.dtype == a.col_indices.dtype == np.int64
         assert np.array_equal(a.to_dense(), [[0.0, 3.0]])
+
+    # int() truncated the shape: (1.5, 2.7) built a (1, 2) matrix
+    @pytest.mark.parametrize("rows,cols,name", [(1.5, 2, "rows"), (1, 2.7, "cols"),
+                                                (1, float("nan"), "cols")])
+    def test_fractional_shape_rejected(self, rows, cols, name):
+        with pytest.raises(ValueError, match=f"^{name}: expected a whole number"):
+            sparse.CsrMatrix(rows, cols, [0, 1], [1], [1.0])
+        a = sparse.CsrMatrix(np.int64(1), 2.0, [0, 1], [1], [1.0])
+        assert a.shape == (1, 2) and all(type(s) is int for s in a.shape)
 
 
 class TestTriplets:
@@ -150,6 +165,13 @@ class TestTriplets:
     def test_fractional_index_rejected(self, triplets):
         with pytest.raises(ValueError, match="whole numbers"):
             sparse.csr_from_triplets(2, 2, triplets)
+
+    # int() truncated the shape: 2.9 rows built a 2 x 2 matrix
+    @pytest.mark.parametrize("rows,cols,name", [(2.9, 2, "rows"), (2, 2.5, "cols")])
+    def test_fractional_shape_rejected(self, rows, cols, name):
+        with pytest.raises(ValueError, match=f"^{name}: expected a whole number"):
+            sparse.csr_from_triplets(rows, cols, [(1, 1, 1.0)])
+        assert sparse.csr_from_triplets(np.int32(2), 2.0, [(1, 1, 1.0)]).shape == (2, 2)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -852,6 +874,46 @@ class TestMatrixMarket:
         got = sparse.read_matrix_market(p)
         dense = got if isinstance(got, np.ndarray) else got.to_dense()
         assert dense[0, 0] == 3.0 and dense[1, 0] == -2.0
+
+    # header, size line, 1-based indices in row order, %.17g values, and a
+    # final newline: the exact text that schurkit export writes
+    @pytest.mark.parametrize("mat,text", [
+        (sparse.csr_from_triplets(2, 3, [(1, 1, 1.0 / 3.0), (0, 2, 0.1), (1, 0, -2.0)]),
+         "%%MatrixMarket matrix coordinate real general\n2 3 3\n"
+         "1 3 0.10000000000000001\n2 1 -2\n2 2 0.33333333333333331\n"),
+        (np.array([[1.0, 0.1], [-2.5, 2.0**60]]),
+         "%%MatrixMarket matrix array real general\n2 2\n"
+         "1\n-2.5\n0.10000000000000001\n1.152921504606847e+18\n"),
+        (sparse.CsrMatrix(3, 4, [0, 0, 0, 0], [], []),
+         "%%MatrixMarket matrix coordinate real general\n3 4 0\n"),
+        (np.zeros((0, 5)), "%%MatrixMarket matrix array real general\n0 5\n"),
+    ], ids=["coordinate", "array", "empty_coordinate", "empty_array"])
+    def test_written_text_is_pinned(self, tmp_path, mat, text):
+        p = tmp_path / "pin.mtx"
+        sparse.write_matrix_market(p, mat)
+        assert p.read_bytes() == text.encode("ascii")
+
+    # one fault per file, after the size line; the message names its line
+    @pytest.mark.parametrize("fmt,size,body,line,message", [
+        ("coordinate", "2 2 2", "1 1 1.0\n", 4, "expected 2 entries, found 1"),
+        ("array", "2 1", "1.0\n", 4, "expected 2 values, found 1"),
+        ("coordinate", "2 2 2", "1 1 1.0\n1 1\n", 4, "entry needs i j value"),
+        ("array", "2 1", "1.0\n1 2\n", 4, "bad value"),
+        ("coordinate", "2 2 2", "1 1 x\n2 2 2.0\n", 3, "bad entry"),
+        ("array", "2 1", "x\n2.0\n", 3, "bad value"),
+        ("coordinate", "2 2 2", "1 1 1.0\n2 2 2.0\n\n2 2 2.0\n", 6,
+         "entry past the declared count"),
+        ("array", "2 1", "1.0\n2.0\n\n2.0\n", 6, "entry past the declared count"),
+    ], ids=[f"{f}-{c}" for c in ("short_count", "token_count", "bad_value", "past_count")
+            for f in ("coordinate", "array")])
+    def test_malformed_entries_name_their_line(self, tmp_path, fmt, size, body, line,
+                                               message):
+        p = tmp_path / "bad.mtx"
+        p.write_text(f"%%MatrixMarket matrix {fmt} real general\n{size}\n{body}")
+        with pytest.raises(sparse.MatrixMarketError,
+                           match=rf"bad\.mtx:{line}: {message}$") as exc:
+            sparse.read_matrix_market(p)
+        assert exc.value.line == line
 
     def test_truncated_entries(self, tmp_path):
         p = tmp_path / "short.mtx"
